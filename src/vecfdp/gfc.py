@@ -94,10 +94,6 @@ def central_table(gamma: float, max_n: int) -> GfcTable:
     return table
 
 
-def log_central_gfc(n: int, k: int, gamma: float) -> float:
-    return central_table(gamma, n).log_central(n, k)
-
-
 def _log_rising(rho: float, n: int) -> float:
     # (rho)_0 = 1 for every rho, including rho = 0; (0)_n = 0 for n >= 1.
     if n == 0:

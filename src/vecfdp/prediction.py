@@ -20,17 +20,15 @@ from scipy.special import gammaln
 from .gfc import log_noncentral_row
 from .logmath import (
     LOG_ZERO,
-    ConvergenceError,
     DomainError,
     log_add,
     log_binomial,
     log_factorial,
-    log_falling_factorial,
     log_pochhammer,
     log_sum_exp,
 )
 from .pmftable import PmfTable
-from .vcoef import VCoefficients
+from .vcoef import VCoefficients, v_series
 
 
 @dataclass(frozen=True)
@@ -98,46 +96,20 @@ def _rho(state: ObservedState, gamma: float, group: int) -> float:
     return gamma * state.r2 + state.n2
 
 
-def posterior_m_pmf(vc: VCoefficients, state: ObservedState, *,
-                    cap: int = 100_000, tail_tol: float = 1e-10) -> PmfTable:
+def posterior_m_pmf(vc: VCoefficients, state: ObservedState) -> PmfTable:
     """Posterior pmf of the number of species never observed so far.
 
     q*(m*) = (m*+r)_{r fall} q_M(m*+r) / [ V^r_{n1,n2}
              prod_j (gamma_j (m*+r))_{n_j} ],   m* = 0, 1, 2, ...
 
-    The support is extended until the tail mass drops below ``tail_tol``;
-    exceeding ``cap`` raises.  Note q*(0) > 0: the sample may already have
-    exhausted the species pool.
+    The masses are the terms of the V^r_{n1,n2} series divided by their own
+    total, so the support is the window that series summed and the pmf is
+    normalized by construction.  Note q*(0) > 0: the sample may already
+    have exhausted the species pool.
     """
-    prior = vc.params.m_prior
-    g1, g2 = vc.params.gamma1, vc.params.gamma2
-    n1, n2, r = state.n1, state.n2, state.r
-    log_norm = vc.log_v(n1, n2, r)
-    entries: dict[int, float] = {}
-    log_mass = LOG_ZERO
-    support_max = prior.support_max
-    for m_star in range(cap + 1):
-        m = m_star + r
-        if support_max is not None and m > support_max:
-            break
-        lq = prior.log_pmf(m)
-        if lq == LOG_ZERO:
-            continue
-        lp = (log_falling_factorial(m, r) + lq
-              - log_pochhammer(g1 * m, n1) - log_pochhammer(g2 * m, n2)
-              - log_norm)
-        entries[m_star] = lp
-        log_mass = log_add(log_mass, lp)
-        if (m_star > prior.mode() and log_mass > LOG_ZERO
-                and math.exp(log_mass) >= 1.0 - tail_tol):
-            break
-    else:
-        if support_max is None:
-            raise ConvergenceError(
-                f"posterior species-count support exceeded cap={cap}")
-    if not entries or math.exp(log_mass) < 1.0 - tail_tol:
-        raise ConvergenceError("posterior species-count pmf has missing tail mass")
-    return PmfTable(entries)
+    log_norm, m, terms = v_series(state.n1, state.n2, state.r, vc.params,
+                                  tol=vc.tol, max_terms=vc.max_terms)
+    return PmfTable(dict(zip((m - state.r).tolist(), (terms - log_norm).tolist())))
 
 
 def posterior_m_mean(vc: VCoefficients, state: ObservedState) -> float:

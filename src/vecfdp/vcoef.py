@@ -6,9 +6,10 @@ group sample sizes ``n1`` and ``n2``:
     V^r_{n1,n2} = sum_{m >= max(r,1)} (m)_{r fall} q_M(m)
                   / [ (gamma1*m)_{n1} (gamma2*m)_{n2} ]
 
-The series converges for every pmf q_M; truncation is adaptive and validated
-by cap-doubling invariance, a recurrence identity, and a large-sample
-asymptotic expansion.
+The series converges for every pmf q_M.  It is summed on numpy blocks by
+the package's one series kernel, :func:`vecfdp.mprior.log_series`, whose
+adaptive truncation is validated by cap-doubling invariance, a recurrence
+identity, a large-sample asymptotic expansion and mpmath oracles.
 """
 
 from __future__ import annotations
@@ -16,15 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .logmath import (
-    LOG_ZERO,
-    ConvergenceError,
-    DomainError,
-    log_add,
-    log_falling_factorial,
-    log_pochhammer,
-)
-from .mprior import TAIL_RUN, MPrior
+from scipy.special import gammaln
+
+from .logmath import LOG_ZERO, DomainError, log_falling_factorial, log_pochhammer
+from .mprior import MPrior, log_series
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_TERMS = 10**6
@@ -51,15 +47,14 @@ class ModelParams:
         raise DomainError(f"group must be 1 or 2, got {group}")
 
 
-def log_v(n1: int, n2: int, r: int, params: ModelParams, *,
-          tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS) -> float:
-    """log V^r_{n1,n2}, summed term by term in log space.
+def v_series(n1: int, n2: int, r: int, params: ModelParams, *,
+             tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS):
+    """The series of V^r_{n1,n2}: (log total, m, log terms).
 
-    Terms are accumulated from m = max(r, 1) upward and the sum stops once
-    the current term has stayed below ``tol`` times the partial sum for
-    ``TAIL_RUN`` consecutive indices *and* m has passed the prior's mode
-    plus r (the general term only decays monotonically past the bulk of
-    q_M's mass).  Finite-support priors are summed exactly.
+    Summed by :func:`vecfdp.mprior.log_series` from m = max(r, 1), with the
+    prior's mode plus r as guard: the general term decays monotonically
+    only past the bulk of q_M's mass.  Finite-support priors are summed
+    exactly.
     """
     if n1 < 0 or n2 < 0:
         raise DomainError(f"sample sizes must be >= 0, got ({n1}, {n2})")
@@ -69,37 +64,24 @@ def log_v(n1: int, n2: int, r: int, params: ModelParams, *,
     # convergent; the recurrence identity evaluates such coefficients.
     prior = params.m_prior
     g1, g2 = params.gamma1, params.gamma2
-    start = max(r, 1)
-    cap = prior.support_max
-    guard = prior.mode() + r
-    log_tol = math.log(tol)
 
-    total = LOG_ZERO
-    run = 0
-    m = start
-    while True:
-        if cap is not None and m > cap:
-            return total
-        lq = prior.log_pmf(m)
-        if lq > LOG_ZERO:
-            term = (log_falling_factorial(m, r) + lq
-                    - log_pochhammer(g1 * m, n1) - log_pochhammer(g2 * m, n2))
-        else:
-            term = LOG_ZERO
-        total = log_add(total, term)
-        if m > guard and total > LOG_ZERO and term <= log_tol + total:
-            run += 1
-            if run >= TAIL_RUN:
-                return total
-        else:
-            run = 0
-        if m - start + 1 >= max_terms:
-            if cap is None:
-                raise ConvergenceError(
-                    f"V series (n1={n1}, n2={n2}, r={r}) did not converge "
-                    f"within {max_terms} terms")
-            return total
-        m += 1
+    def log_term(m):
+        # log (m)_{r fall} + log q_M(m) - log (g1 m)_{n1} - log (g2 m)_{n2}
+        term = gammaln(m + 1.0) - gammaln(m + (1.0 - r)) + prior.log_pmf_array(m)
+        for g, n in ((g1, n1), (g2, n2)):
+            if n > 0:
+                gm = g * m
+                term -= gammaln(gm + n) - gammaln(gm)
+        return term
+
+    return log_series(log_term, max(r, 1), prior.mode() + r, prior.support_max,
+                      tol=tol, max_terms=max_terms)
+
+
+def log_v(n1: int, n2: int, r: int, params: ModelParams, *,
+          tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS) -> float:
+    """log V^r_{n1,n2}: the log total of :func:`v_series`."""
+    return v_series(n1, n2, r, params, tol=tol, max_terms=max_terms)[0]
 
 
 def log_v_single(n: int, r: int, gamma: float, prior: MPrior, *,

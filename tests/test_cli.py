@@ -1,9 +1,13 @@
 import csv
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import vecfdp
 from vecfdp.abundance import ants_csv_path
 from vecfdp.cli import main
 
@@ -90,6 +94,17 @@ def test_predict_report_with_explicit_params(capsys, toy_csv):
     assert report["params"]["source"] == "flags"
     assert report["shared_pmf"]["total_mass"] == pytest.approx(1.0, abs=1e-8)
     assert 0.0 <= report["coverage_prob"]["value"] <= 1.0
+
+
+def test_predict_large_rate_posterior_normalized(capsys):
+    # the posterior of the unseen count reaches far past m* = 10^5
+    code, out, err = run(capsys, "predict", str(ants_csv_path()),
+                         "--lam", "1e5", "--gamma1", "1", "--gamma2", "1",
+                         "--m1", "3", "--m2", "3")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["posterior_unseen"]["pmf"]["total_mass"] == pytest.approx(
+        1.0, abs=1e-10)
 
 
 def test_predict_partial_params_rejected(capsys, toy_csv):
@@ -257,3 +272,12 @@ def test_validate_failure_exit_code(capsys, monkeypatch):
 def test_unknown_command_is_input_error(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 1
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats alone takes most of a second to import
+    src = str(Path(vecfdp.__file__).resolve().parents[1])
+    probe = "import sys, vecfdp.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True, cwd=src, timeout=60)
+    assert out.stdout.strip() == "False"
