@@ -7,23 +7,26 @@ the model.  With the sign (-1)^n factored out, the triangular recurrence
 
     |C(n+1, k)| = gamma * |C(n, k-1)| + (gamma*k + n) * |C(n, k)|
 
-has all-positive terms, so there is no cancellation.  Non-central values are
-obtained from the central ones through the binomial convolution
+has all-positive terms, so there is no cancellation.  The non-central
+coefficients satisfy the same recurrence with n shifted by rho
+(Charalambides 2005, *Combinatorial Methods in Discrete Distributions*):
 
-    |C(m, k; -gamma, -rho)| = sum_{j=k..m} binom(m, j) (rho)_{m-j} |C(j, k; -gamma)|
+    |C(n+1, k; -gamma, -rho)| = gamma * |C(n, k-1)| + (gamma*k + rho + n) * |C(n, k)|
 
-whose summands are again all nonnegative (rho >= 0 throughout this package,
-since rho = gamma*r + n for observed counts).
+again with nonnegative terms (rho >= 0 throughout this package, since
+rho = gamma*r + n for observed counts).  Central tables serve the in-sample
+laws; the predictive laws stream one non-central row in O(m) memory.
 """
 
 from __future__ import annotations
 
+import math
 import threading
+from collections import OrderedDict
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
-from .logmath import LOG_ZERO, DomainError, log_binomial, log_pochhammer
+from .logmath import LOG_ZERO, DomainError
 
 
 class GfcTable:
@@ -76,7 +79,9 @@ def build_central_table(gamma: float, max_n: int) -> GfcTable:
 
 
 _TABLE_LOCK = threading.Lock()
-_TABLES: dict[float, GfcTable] = {}
+#: tables kept; the least recently used one is dropped past this count
+_MAX_TABLES = 16
+_TABLES: OrderedDict[float, GfcTable] = OrderedDict()
 
 
 def central_table(gamma: float, max_n: int) -> GfcTable:
@@ -84,6 +89,7 @@ def central_table(gamma: float, max_n: int) -> GfcTable:
 
     Tables are immutable; under the lock a larger table atomically replaces
     the smaller one, so concurrent readers never observe partial builds.
+    The cache keeps the ``_MAX_TABLES`` most recently used gammas.
     """
     gamma = float(gamma)
     with _TABLE_LOCK:
@@ -91,50 +97,30 @@ def central_table(gamma: float, max_n: int) -> GfcTable:
         if table is None or table.max_n < max_n:
             table = build_central_table(gamma, max(max_n, 16))
             _TABLES[gamma] = table
+        _TABLES.move_to_end(gamma)
+        while len(_TABLES) > _MAX_TABLES:
+            _TABLES.popitem(last=False)
     return table
 
 
-def _log_rising(rho: float, n: int) -> float:
-    # (rho)_0 = 1 for every rho, including rho = 0; (0)_n = 0 for n >= 1.
-    if n == 0:
-        return 0.0
-    if rho == 0.0:
-        return LOG_ZERO
-    return log_pochhammer(rho, n)
-
-
-def log_noncentral_gfc(m: int, k: int, gamma: float, rho: float,
-                       table: GfcTable | None = None) -> float:
-    """log |C(m, k; -gamma, -rho)| via the binomial convolution; rho >= 0."""
-    if rho < 0.0:
-        raise DomainError(f"rho must be >= 0, got {rho}")
-    if k < 0 or k > m:
-        raise DomainError(f"need 0 <= k <= m, got m={m}, k={k}")
-    if table is None:
-        table = central_table(gamma, m)
-    elif table.max_n < m:
-        raise DomainError(f"table max_n={table.max_n} too small for m={m}")
-    terms = [
-        log_binomial(m, j) + _log_rising(rho, m - j) + table.log_central(j, k)
-        for j in range(k, m + 1)
-    ]
-    return float(logsumexp(terms)) if terms else LOG_ZERO
-
-
 def log_noncentral_row(m: int, gamma: float, rho: float) -> np.ndarray:
-    """log |C(m, k; -gamma, -rho)| for all k = 0..m at once.
+    """log |C(m, k; -gamma, -rho)| for all k = 0..m at once; rho >= 0.
 
-    Vectorized over the convolution index; used by the prediction pmfs,
-    which need whole rows.
+    Streams the all-positive recurrence from |C(0, 0)| = 1, one row n at a
+    time in a single buffer of m + 1 entries, so memory is O(m).
     """
+    if gamma <= 0.0:
+        raise DomainError(f"gamma must be positive, got {gamma}")
     if rho < 0.0:
         raise DomainError(f"rho must be >= 0, got {rho}")
-    table = central_table(gamma, m)
-    js = np.arange(m + 1)
-    weight = gammaln(m + 1) - gammaln(js + 1) - gammaln(m - js + 1)
-    weight = weight + np.array([_log_rising(rho, m - int(j)) for j in js])
-    # row k: logsumexp over j of weight[j] + log_c[j, k]
-    block = weight[:, None] + table.log_c[: m + 1, : m + 1]
-    with np.errstate(invalid="ignore"):
-        out = logsumexp(block, axis=0)
-    return np.where(np.isnan(out), LOG_ZERO, out)
+    row = np.full(m + 1, LOG_ZERO)
+    row[0] = 0.0
+    log_gamma = math.log(gamma)
+    gamma_k = gamma * np.arange(m + 1, dtype=float)
+    with np.errstate(divide="ignore"):
+        for n in range(m):
+            # row[n + 1] is still -inf, so both terms read safely
+            scaled = np.log(gamma_k[: n + 2] + (rho + n)) + row[: n + 2]
+            scaled[1:] = np.logaddexp(log_gamma + row[: n + 1], scaled[1:])
+            row[: n + 2] = scaled
+    return row

@@ -24,59 +24,88 @@ from .logmath import LOG_ZERO, ConvergenceError, DomainError
 TAIL_RUN = 5
 #: terms past the guard in the first block; later blocks double.  The first
 #: block reaches the guard at once, since the stopping rule cannot fire before
-_TAIL_BLOCK = 32
+_TAIL_BLOCK = 64
+#: below any log term; shifts a row whose terms so far are all zero
+_SHIFT_FLOOR = -1e300
 
 
-def log_series(log_term, start: int, guard: int, cap: int | None, *,
+def log_series(log_term, start, guard, cap: int | None, *,
                tol: float, max_terms: int):
-    """Sum exp(log_term(m)) over m = start, start + 1, ... in log space.
+    """Sum exp(log_term(m)) over m = start, start + 1, ... in log space, for
+    a batch of series at once.
 
-    ``log_term`` maps an int64 array of indices to their log terms (-inf for
-    a zero term); it is evaluated on blocks of doubling size.  The sum stops
-    at the first m past ``guard`` that ends a run of ``TAIL_RUN`` terms, each
-    at most ``tol`` times the partial sum up to and including it.  A finite
-    ``cap`` (the last support point) is summed exactly instead.  Needing
-    more than ``max_terms`` terms raises ``ConvergenceError``.
+    ``start`` and ``guard`` hold one entry per series (a row); an int is a
+    batch of one.  ``log_term`` maps a 2-D int64 array of indices, one row
+    per series, to their log terms (-inf for a zero term); it is evaluated
+    on blocks of doubling size, at the same offsets from ``start`` in every
+    row.  A row stops at the first m past its guard that ends a run of
+    ``TAIL_RUN`` terms, each at most ``tol`` times the row's partial sum up
+    to and including it.  A finite ``cap`` (the last support point) is
+    summed exactly instead.  A row that needs more than ``max_terms`` terms
+    raises ``ConvergenceError``.
 
-    Returns (log total, m, log terms) over the summed indices.
+    Returns (log totals, counts, log terms): row i summed the first
+    counts[i] columns of its log terms, at m = start[i], start[i] + 1, ...
     """
-    stop = start + max_terms if cap is None else min(cap + 1, start + max_terms)
+    start = np.asarray(start, dtype=np.int64).reshape(-1)
+    guard = np.asarray(guard, dtype=np.int64).reshape(-1, 1)
+    if cap is None:
+        limit = np.full(start.size, max_terms)
+    else:
+        limit = np.clip(np.minimum(cap + 1 - start, max_terms), 0, None)
+    stop = int(limit.max(initial=0))
     log_tol = math.log(tol)
-    total, done = LOG_ZERO, False
-    ms, terms = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-    low_run = np.zeros(TAIL_RUN, dtype=bool)  # flags of the last terms
-    lo, tail = start, _TAIL_BLOCK
-    size = max(guard - start + 1, 0) + tail
-    while lo < stop and not done:
-        m = np.arange(lo, min(lo + size, stop), dtype=np.int64)
+    total = np.full(start.size, LOG_ZERO)  # every row's partial sum so far
+    result, count = [LOG_ZERO] * start.size, limit.tolist()
+    live = set(np.flatnonzero(limit).tolist())  # rows still summing
+    blocks = []
+    low_run = np.zeros((start.size, TAIL_RUN), dtype=bool)  # flags of the last terms
+    lo, tail = 0, _TAIL_BLOCK
+    size = max(int((guard[:, 0] - start).max(initial=-1)) + 1, 0) + tail
+    while lo < stop and live:
+        off = np.arange(lo, min(lo + size, stop))
+        m = start[:, None] + off
         term = log_term(m)
-        # partial sums in linear space below a shift: their rounding error is
-        # relative to the sum, not to the size of its log
-        shift = max(total, float(term.max()))
-        if shift == LOG_ZERO:
-            partial = term
-        else:
-            with np.errstate(divide="ignore"):
-                partial = shift + np.log(math.exp(total - shift)
-                                         + np.cumsum(np.exp(term - shift)))
-        end = m.size
+        if cap is not None:
+            term = np.where(off < limit[:, None], term, LOG_ZERO)
+        # partial sums in linear space below a per-row shift: their rounding
+        # error is relative to the sum, not to the size of its log.  The
+        # floor keeps the shift finite on a row whose terms are all zero.
+        shift = np.maximum(total, np.maximum.reduce(term, axis=1, initial=_SHIFT_FLOOR))
+        shift = shift[:, None]
+        partial = term - shift  # one buffer, updated in place
+        with np.errstate(divide="ignore"):
+            np.exp(partial, out=partial)
+            np.cumsum(partial, axis=1, out=partial)
+            partial += np.exp(total[:, None] - shift)
+            np.log(partial, out=partial)
+        partial += shift
         if cap is None:
             low = (m > guard) & (partial > LOG_ZERO) & (term <= log_tol + partial)
-            low = np.concatenate((low_run, low))
-            count = np.cumsum(low)
-            ended = np.flatnonzero(count[TAIL_RUN:] - count[:-TAIL_RUN] == TAIL_RUN)
-            if ended.size:
-                end, done = int(ended[0]) + 1, True
-            low_run = low[-TAIL_RUN:]
-        ms.append(m[:end])
-        terms.append(term[:end])
-        total = float(partial[end - 1])
-        lo += m.size
+            low = np.concatenate((low_run, low), axis=1)
+            low_run = low[:, -TAIL_RUN:]
+            # ended[:, i]: the term at column i closes a run of TAIL_RUN lows
+            ended = low[:, TAIL_RUN:].copy()
+            for k in range(1, TAIL_RUN):
+                ended &= low[:, TAIL_RUN - k:low.shape[1] - k]
+            closed, last = ended.any(axis=1), ended.argmax(axis=1)
+        else:
+            closed, last = limit <= lo + off.size, limit - lo - 1
+        for i in np.flatnonzero(closed).tolist():
+            if i in live:
+                live.discard(i)
+                result[i] = float(partial[i, last[i]])
+                count[i] = lo + int(last[i]) + 1
+        total = partial[:, -1]
+        blocks.append(term)
+        lo += off.size
         size = tail = 2 * tail
-    if not done and (cap is None or lo <= cap):
+    short = sorted(live) if cap is None else np.flatnonzero(start + limit <= cap).tolist()
+    if short:
         raise ConvergenceError(
-            f"series from m = {start} needs more than {max_terms} terms")
-    return total, np.concatenate(ms), np.concatenate(terms)
+            f"series from m = {int(start[short[0]])} needs more than {max_terms} terms")
+    terms = np.concatenate(blocks, axis=1) if blocks else np.zeros((start.size, 0))
+    return np.array(result), np.array(count), terms
 
 
 class MPrior(ABC):
@@ -191,7 +220,7 @@ def expectation(prior: MPrior, f, *, tol: float = 1e-12,
     log_total, _, _ = log_series(log_term, prior.head(min(tol * 1e-3, 1e-15)),
                                  prior.mode(), prior.support_max,
                                  tol=tol, max_terms=max_terms)
-    return math.exp(log_total)
+    return math.exp(log_total[0])
 
 
 def expected_inverse_m(prior: MPrior, **kwargs) -> float:

@@ -5,7 +5,11 @@ curves.
 
 All distributions condition on an observed state (n1, n2, r1, r2, r) and
 feed on two ingredients: V-coefficient ratios and non-central generalized
-factorial coefficients |C(m, k; -gamma_j, -(gamma_j r_j + n_j))|.
+factorial coefficients |C(m, k; -gamma_j, -(gamma_j r_j + n_j))|, streamed
+as whole rows in O(m) memory.  The coverage probability reads a run of V
+coefficients from one batched evaluation and sums its lattice on numpy
+blocks, so it scales to futures of 10^4 per group; the moment route of the
+expected counts works on the posterior's support as arrays.
 """
 
 from __future__ import annotations
@@ -29,6 +33,9 @@ from .logmath import (
 )
 from .pmftable import PmfTable
 from .vcoef import VCoefficients, v_series
+
+#: cells of the coverage lattice summed per numpy block
+_LATTICE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -277,19 +284,25 @@ def shared_coverage_prob(vc: VCoefficients, state: ObservedState,
 
     P(S = 0) = sum_{k1, k2} (V^{r+k1+k2}_{n1+m1,n2+m2} / V^r_{n1,n2})
                prod_j |C(m_j, k_j; -g_j, -(g_j r_j + n_j))|
+
+    The V coefficients depend on the lattice cell only through its
+    anti-diagonal k1 + k2, so they come from one batched evaluation over
+    r .. r + m1 + m2.  The lattice is then summed in log space on blocks of
+    about ``_LATTICE_BLOCK`` cells: O(m1 m2) time, O(m1 + m2) memory.
     """
     g1, g2 = vc.params.gamma1, vc.params.gamma2
     row1 = log_noncentral_row(m1, g1, _rho(state, g1, 1))
     row2 = log_noncentral_row(m2, g2, _rho(state, g2, 2))
+    lv = vc.log_v_many(state.n1 + m1, state.n2 + m2,
+                       state.r + np.arange(m1 + m2 + 1))
     log_v_obs = vc.log_v(state.n1, state.n2, state.r)
-    n1m, n2m = state.n1 + m1, state.n2 + m2
-    terms = [
-        vc.log_v(n1m, n2m, state.r + k1 + k2) + row1[k1] + row2[k2]
-        for k1 in range(0, m1 + 1)
-        for k2 in range(0, m2 + 1)
-        if row1[k1] > LOG_ZERO and row2[k2] > LOG_ZERO
-    ]
-    return math.exp(log_sum_exp(terms) - log_v_obs)
+    k2 = np.arange(m2 + 1)
+    step = max(1, _LATTICE_BLOCK // (m2 + 1))
+    parts = []
+    for lo in range(0, m1 + 1, step):
+        k1 = np.arange(lo, min(lo + step, m1 + 1))[:, None]
+        parts.append(log_sum_exp(row1[k1] + row2 + lv[k1 + k2]))
+    return math.exp(log_sum_exp(parts) - log_v_obs)
 
 
 def one_step_shared_pmf(vc: VCoefficients, state: ObservedState) -> PmfTable:
@@ -378,22 +391,26 @@ def _expected_new_moments(vc: VCoefficients, state: ObservedState,
     counts follow by summing these appearance probabilities over the
     group-exclusive species and the unseen pool (a brand-new species is
     shared exactly when it appears in both futures: the proportions are
-    independent across groups given the pool size).
+    independent across groups given the pool size).  All sums run over the
+    posterior's support as arrays.
     """
     pmf = posterior_m_pmf(vc, state)
-    g1, g2 = vc.params.gamma1, vc.params.gamma2
-    e_k1 = e_k2 = e_k = 0.0
-    for m_star, lp in pmf.entries.items():
-        q = math.exp(lp)
-        c1 = g1 * (state.r + m_star) + state.n1
-        c2 = g2 * (state.r + m_star) + state.n2
-        miss1 = math.exp(log_pochhammer(c1 - g1, m1) - log_pochhammer(c1, m1)) \
-            if m1 > 0 else 1.0
-        miss2 = math.exp(log_pochhammer(c2 - g2, m2) - log_pochhammer(c2, m2)) \
-            if m2 > 0 else 1.0
-        e_k1 += q * (state.r2_star + m_star) * (1.0 - miss1)
-        e_k2 += q * (state.r1_star + m_star) * (1.0 - miss2)
-        e_k += q * m_star * (1.0 - miss1 * miss2)
+    m_star = np.fromiter(pmf.entries.keys(), dtype=float, count=len(pmf.entries))
+    q = np.exp(np.fromiter(pmf.entries.values(), dtype=float, count=len(pmf.entries)))
+
+    def miss(gamma, n, m):
+        if m == 0:
+            return 1.0
+        c = gamma * (state.r + m_star) + n
+        # C_j - g_j = 0 (an empty group, r = 1, m* = 0) gives gammaln = inf
+        # and beta_j = 0: the one species' proportion is fixed at one
+        return np.exp((gammaln(c - gamma + m) - gammaln(c - gamma))
+                      - (gammaln(c + m) - gammaln(c)))
+
+    miss1, miss2 = miss(vc.params.gamma1, state.n1, m1), miss(vc.params.gamma2, state.n2, m2)
+    e_k1 = float(np.sum(q * (state.r2_star + m_star) * (1.0 - miss1)))
+    e_k2 = float(np.sum(q * (state.r1_star + m_star) * (1.0 - miss2)))
+    e_k = float(np.sum(q * m_star * (1.0 - miss1 * miss2)))
     return ExpectedNew(k1=e_k1, k2=e_k2, k=e_k, s=e_k1 + e_k2 - e_k)
 
 

@@ -10,6 +10,9 @@ The series converges for every pmf q_M.  It is summed on numpy blocks by
 the package's one series kernel, :func:`vecfdp.mprior.log_series`, whose
 adaptive truncation is validated by cap-doubling invariance, a recurrence
 identity, a large-sample asymptotic expansion and mpmath oracles.
+:func:`log_v` sums one coefficient; :func:`log_v_many` sums a run of r at
+fixed sizes as one batch of that kernel, with the same stopping rule and
+the same values.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.special import gammaln
 
 from .logmath import LOG_ZERO, DomainError, log_falling_factorial, log_pochhammer
@@ -24,6 +28,8 @@ from .mprior import MPrior, log_series
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_TERMS = 10**6
+#: terms in the first block of one batch of :func:`log_v_many`
+_BATCH_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -47,6 +53,49 @@ class ModelParams:
         raise DomainError(f"group must be 1 or 2, got {group}")
 
 
+def _v_rows(n1: int, n2: int, rs: np.ndarray, params: ModelParams, *,
+            tol: float, max_terms: int):
+    """The series of V^r_{n1,n2} for every r in ``rs`` (ascending), as one
+    batch of :func:`vecfdp.mprior.log_series`.
+
+    The log term at m is D(m) - log (m - r)!, with
+    D(m) = log m! + log q_M(m) - sum_j log (gamma_j m)_{n_j} shared by every
+    row: a block evaluates D once over the span of its indices and gathers
+    it, so a run of consecutive r costs about one log-gamma call per index
+    and per row, not one per cell.
+    """
+    if n1 < 0 or n2 < 0:
+        raise DomainError(f"sample sizes must be >= 0, got ({n1}, {n2})")
+    if rs.size and rs.min() < 0:
+        raise DomainError(f"r must be >= 0, got r={int(rs.min())}")
+    # r > n1 + n2 never arises in a partition law but the series is still
+    # convergent; the recurrence identity evaluates such coefficients.
+    prior = params.m_prior
+    sizes = [(g, n) for g, n in ((params.gamma1, n1), (params.gamma2, n2)) if n > 0]
+    starts = np.maximum(rs, 1)
+    lift = (starts - rs)[:, None]  # m - r starts at 1 on an r = 0 row, else at 0
+
+    def log_term(m):
+        # rows ascend in r, so the block's indices span m[0, 0] .. m[-1, -1]
+        lo, width = int(m[0, 0]), m.shape[1]
+        span = np.arange(lo, int(m[-1, -1]) + 1)
+        d = gammaln(span + 1.0)
+        d += prior.log_pmf_array(span)
+        for g, n in sizes:
+            gm = g * span
+            d += gammaln(gm)
+            gm += n
+            d -= gammaln(gm, out=gm)
+        first = lo - int(starts[0]) + 1  # m - r + 1 at the block's first offset
+        log_fact = gammaln(np.arange(first, first + width + 1, dtype=float))
+        out = d[m - lo]
+        out -= log_fact[np.arange(width) + lift]
+        return out
+
+    return log_series(log_term, starts, prior.mode() + rs, prior.support_max,
+                      tol=tol, max_terms=max_terms)
+
+
 def v_series(n1: int, n2: int, r: int, params: ModelParams, *,
              tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS):
     """The series of V^r_{n1,n2}: (log total, m, log terms).
@@ -56,32 +105,35 @@ def v_series(n1: int, n2: int, r: int, params: ModelParams, *,
     only past the bulk of q_M's mass.  Finite-support priors are summed
     exactly.
     """
-    if n1 < 0 or n2 < 0:
-        raise DomainError(f"sample sizes must be >= 0, got ({n1}, {n2})")
-    if r < 0:
-        raise DomainError(f"r must be >= 0, got r={r}")
-    # r > n1 + n2 never arises in a partition law but the series is still
-    # convergent; the recurrence identity evaluates such coefficients.
-    prior = params.m_prior
-    g1, g2 = params.gamma1, params.gamma2
-
-    def log_term(m):
-        # log (m)_{r fall} + log q_M(m) - log (g1 m)_{n1} - log (g2 m)_{n2}
-        term = gammaln(m + 1.0) - gammaln(m + (1.0 - r)) + prior.log_pmf_array(m)
-        for g, n in ((g1, n1), (g2, n2)):
-            if n > 0:
-                gm = g * m
-                term -= gammaln(gm + n) - gammaln(gm)
-        return term
-
-    return log_series(log_term, max(r, 1), prior.mode() + r, prior.support_max,
-                      tol=tol, max_terms=max_terms)
+    total, count, terms = _v_rows(n1, n2, np.array([r], dtype=np.int64), params,
+                                  tol=tol, max_terms=max_terms)
+    n = int(count[0])
+    return float(total[0]), max(r, 1) + np.arange(n), terms[0, :n]
 
 
 def log_v(n1: int, n2: int, r: int, params: ModelParams, *,
           tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS) -> float:
     """log V^r_{n1,n2}: the log total of :func:`v_series`."""
     return v_series(n1, n2, r, params, tol=tol, max_terms=max_terms)[0]
+
+
+def log_v_many(n1: int, n2: int, rs, params: ModelParams, *,
+               tol: float = DEFAULT_TOL,
+               max_terms: int = DEFAULT_MAX_TERMS) -> np.ndarray:
+    """log V^r_{n1,n2} for every r in ``rs`` (best a run of consecutive r),
+    each series stopped as :func:`log_v` stops it.
+
+    Rows are summed in batches whose first blocks hold about
+    ``_BATCH_CELLS`` terms, so memory stays bounded for any run length.
+    """
+    rs = np.asarray(rs, dtype=np.int64).ravel()
+    order = np.argsort(rs, kind="stable")
+    per = max(1, _BATCH_CELLS // (params.m_prior.mode() + 1))
+    out = np.empty(rs.size)
+    for i in range(0, rs.size, per):
+        rows = order[i:i + per]
+        out[rows] = _v_rows(n1, n2, rs[rows], params, tol=tol, max_terms=max_terms)[0]
+    return out
 
 
 def log_v_single(n: int, r: int, gamma: float, prior: MPrior, *,
@@ -115,6 +167,19 @@ class VCoefficients:
                           tol=self.tol, max_terms=self.max_terms)
             self._cache[key] = value
         return value
+
+    def log_v_many(self, n1: int, n2: int, rs) -> np.ndarray:
+        """log V^r_{n1,n2} for every r in ``rs``; the keys not cached yet are
+        evaluated in one :func:`log_v_many` batch and cached."""
+        rs = np.asarray(rs, dtype=np.int64).ravel()
+        out = np.array([self._cache.get((n1, n2, r), np.nan) for r in rs.tolist()])
+        missing = np.isnan(out)
+        if missing.any():
+            out[missing] = log_v_many(n1, n2, rs[missing], self.params,
+                                      tol=self.tol, max_terms=self.max_terms)
+            self._cache.update(zip([(n1, n2, r) for r in rs[missing].tolist()],
+                                   out[missing].tolist()))
+        return out
 
     def log_v_single(self, n: int, r: int, group: int = 1) -> float:
         if group == 1:

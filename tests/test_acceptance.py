@@ -21,9 +21,11 @@ from vecfdp.estimation import (
     fit_gamma,
     fit_lambda,
 )
-from vecfdp.gfc import central_table, log_noncentral_gfc
+from vecfdp.gfc import central_table
 from vecfdp.mprior import OneShiftedPoisson
 from vecfdp.vcoef import ModelParams, VCoefficients, log_v
+
+from oracles import log_noncentral_gfc
 
 GAMMAS = (0.3, 1.0, 3.0)
 LAMBDAS = (0.5, 2.0, 8.0)

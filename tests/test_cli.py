@@ -281,3 +281,26 @@ def test_cli_import_leaves_out_scipy_stats():
     out = subprocess.run([sys.executable, "-c", probe], check=True,
                          capture_output=True, text=True, cwd=src, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def test_predict_large_future_small_memory():
+    # the coverage lattice of a 3000 x 3000 future is summed in blocks; an
+    # O(m^2) buffer of rows or cells would take hundreds of MB here
+    src = str(Path(vecfdp.__file__).resolve().parents[1])
+    probe = (
+        "import contextlib, io, json, resource\n"
+        "from vecfdp.abundance import ants_csv_path\n"
+        "from vecfdp.cli import main\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    code = main(['predict', str(ants_csv_path()), '--m1', '3000', '--m2', '3000'])\n"
+        "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(json.dumps({'code': code, 'rss_kb': rss,\n"
+        "                  'coverage': json.loads(out.getvalue())['coverage_prob']['value']}))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], check=True,
+                          capture_output=True, text=True, cwd=src, timeout=300)
+    result = json.loads(done.stdout)
+    assert result["code"] == 0
+    assert 0.0 < result["coverage"] < 1.0
+    assert result["rss_kb"] < 250 * 1024

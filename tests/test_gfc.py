@@ -1,15 +1,21 @@
 import itertools
 import math
 
+import mpmath
+import numpy as np
 import pytest
 
+from vecfdp import gfc
+from vecfdp.abundance import ants_table
+from vecfdp.estimation import fit_all
 from vecfdp.gfc import (
     build_central_table,
     central_table,
-    log_noncentral_gfc,
     log_noncentral_row,
 )
 from vecfdp.logmath import LOG_ZERO, DomainError, log_pochhammer
+
+from oracles import log_noncentral_gfc
 
 
 def composition_sum_oracle(n: int, k: int, gamma: float) -> float:
@@ -116,11 +122,41 @@ def test_noncentral_row_matches_scalar():
             log_noncentral_gfc(7, k, gamma, rho), abs=1e-12)
 
 
+def mp_noncentral_row(m: int, gamma: float, rho: float) -> list[float]:
+    """log |C(m, k; -gamma, -rho)|, k = 0..m, by the all-positive
+    recurrence in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        g, r = mpmath.mpf(gamma), mpmath.mpf(rho)
+        row = [mpmath.mpf(1)]
+        for n in range(m):
+            row = [(g * row[k - 1] if k > 0 else 0)
+                   + ((g * k + r + n) * row[k] if k <= n else 0)
+                   for k in range(n + 2)]
+        return [float(mpmath.log(c)) for c in row]
+
+
+def test_noncentral_row_against_mpmath_recurrence():
+    # both groups of the ants table at the fitted concentrations, where
+    # rho_j = gamma_j r_j + n_j is in the hundreds to thousands
+    table = ants_table()
+    params = fit_all(table).params
+    for gamma, r_j, n_j in ((params.gamma1, table.r1, table.n1),
+                            (params.gamma2, table.r2, table.n2)):
+        rho = gamma * r_j + n_j
+        row = log_noncentral_row(400, gamma, rho)
+        np.testing.assert_allclose(row, mp_noncentral_row(400, gamma, rho),
+                                   rtol=0.0, atol=1e-10)
+
+
 def test_noncentral_domain():
     with pytest.raises(DomainError):
         log_noncentral_gfc(3, 4, 1.0, 1.0)
     with pytest.raises(DomainError):
         log_noncentral_gfc(3, 1, 1.0, -0.5)
+    with pytest.raises(DomainError):
+        log_noncentral_row(3, 1.0, -0.5)
+    with pytest.raises(DomainError):
+        log_noncentral_row(3, 0.0, 1.0)
 
 
 def test_table_cache_grows():
@@ -131,3 +167,12 @@ def test_table_cache_grows():
         for k in range(0, n + 1):
             assert small.log_central(n, k) == pytest.approx(
                 big.log_central(n, k), abs=1e-12)
+
+
+def test_table_cache_is_bounded():
+    for i in range(200):
+        central_table(1.0 + i / 1000.0, 4)
+    assert len(gfc._TABLES) <= gfc._MAX_TABLES
+    # the most recently used tables are the ones kept
+    assert central_table(1.199, 4) is central_table(1.199, 4)
+    assert 1.199 in gfc._TABLES

@@ -4,10 +4,14 @@ import pytest
 
 from vecfdp import prediction as pred
 from vecfdp import simulate
-from vecfdp.gfc import log_noncentral_gfc
+from vecfdp.abundance import ants_table
+from vecfdp.estimation import fit_all
+from vecfdp.gfc import log_noncentral_row
 from vecfdp.logmath import DomainError
 from vecfdp.mprior import OneShiftedPoisson, PointMass
 from vecfdp.vcoef import ModelParams, VCoefficients
+
+from oracles import expected_new_moments_loop, lattice_coverage_prob, log_noncentral_gfc
 
 PARAMS = ModelParams(1.3, 0.6, OneShiftedPoisson(2.0))
 
@@ -169,6 +173,41 @@ def test_coverage_equals_shared_pmf_zero(vc):
         sp = pred.shared_pmf(vc, STATE, m1, m2)
         assert cov == pytest.approx(sp.prob(0), abs=1e-10)
         assert sp.total_mass() == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.fixture(scope="module")
+def ants():
+    table = ants_table()
+    return pred.ObservedState.from_abundance(table), fit_all(table).params
+
+
+@pytest.mark.parametrize("lam,m1,m2", [
+    (None, 0, 0), (None, 0, 5), (None, 5, 0), (None, 3, 4), (None, 50, 50),
+    (None, 137, 999), (3e4, 3, 4), (3e4, 50, 50),
+])
+def test_coverage_matches_lattice_oracle(ants, lam, m1, m2):
+    state, params = ants
+    if lam is not None:
+        params = ModelParams(params.gamma1, params.gamma2, OneShiftedPoisson(lam))
+    got = pred.shared_coverage_prob(VCoefficients(params), state, m1, m2)
+    g1, g2 = params.gamma1, params.gamma2
+    row1 = log_noncentral_row(m1, g1, g1 * state.r1 + state.n1)
+    row2 = log_noncentral_row(m2, g2, g2 * state.r2 + state.n2)
+    # a fresh cache: every V of the oracle comes from its own scalar series
+    want = lattice_coverage_prob(VCoefficients(params), state, m1, m2, row1, row2)
+    assert got == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("lam", [None, 1e5])
+def test_expected_new_moments_match_loop(ants, lam):
+    state, params = ants
+    if lam is not None:
+        params = ModelParams(1.0, 1.0, OneShiftedPoisson(lam))
+    vc = VCoefficients(params)
+    got = pred.expected_new(vc, state, 1000, 1000, method="moment")
+    want = expected_new_moments_loop(vc, state, 1000, 1000)
+    for x, y in zip(got, want):
+        assert x == pytest.approx(y, rel=1e-12)
 
 
 def test_coverage_one_sided_no_shared_possible():

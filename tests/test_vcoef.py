@@ -1,11 +1,14 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
+from vecfdp.abundance import ants_table
+from vecfdp.estimation import fit_all
 from vecfdp.logmath import LOG_ZERO, ConvergenceError, DomainError
 from vecfdp.mprior import OneShiftedPoisson, PointMass, TabulatedPrior
-from vecfdp.vcoef import ModelParams, VCoefficients, log_v, log_v_single
+from vecfdp.vcoef import ModelParams, VCoefficients, log_v, log_v_many, log_v_single
 
 
 def mp_series_oracle(n1, n2, r, gamma1, gamma2, lam, terms=2000, start=None):
@@ -190,3 +193,49 @@ def test_domain_errors():
         log_v(1, 1, -1, params)
     with pytest.raises(DomainError):
         ModelParams(0.0, 1.0, OneShiftedPoisson(1.0))
+
+
+def assert_many_matches_single(n1, n2, rs, params):
+    many = log_v_many(n1, n2, rs, params)
+    single = np.array([log_v(n1, n2, int(r), params) for r in rs])
+    np.testing.assert_array_equal(np.isneginf(many), np.isneginf(single))
+    finite = np.isfinite(single)
+    np.testing.assert_allclose(many[finite], single[finite], rtol=0.0, atol=1e-12)
+
+
+def test_log_v_many_fitted_run():
+    # the run a coverage sum at (m1, m2) = (600, 600) reads on the ants table
+    table = ants_table()
+    params = fit_all(table).params
+    rs = table.r + np.arange(1201)
+    assert_many_matches_single(table.n1 + 600, table.n2 + 600, rs, params)
+
+
+def test_log_v_many_large_rate_run():
+    # each row sums its head from m = r past the mode, over many batches
+    params = ModelParams(1.4, 0.7, OneShiftedPoisson(3e4))
+    assert_many_matches_single(940, 2240, 30 + np.arange(20), params)
+
+
+@pytest.mark.parametrize("prior", [PointMass(6), TabulatedPrior([0.2, 0.0, 0.5, 0.3])])
+def test_log_v_many_finite_support(prior):
+    # rows from r = 0 up past the support, where V is zero
+    params = ModelParams(1.2, 0.6, prior)
+    assert_many_matches_single(5, 3, np.arange(0, 9), params)
+
+
+def test_log_v_many_order_and_cache():
+    params = ModelParams(0.8, 1.3, OneShiftedPoisson(2.0))
+    rs = np.array([7, 2, 0, 5])
+    assert_many_matches_single(4, 3, rs, params)
+    vc = VCoefficients(params)
+    first = vc.log_v(4, 3, 5)
+    got = vc.log_v_many(4, 3, rs)
+    assert got[3] == first
+    assert vc.log_v(4, 3, 7) == got[0]
+
+
+def test_log_v_many_convergence_error_on_tiny_cap():
+    params = ModelParams(1.0, 1.0, OneShiftedPoisson(50.0))
+    with pytest.raises(ConvergenceError):
+        log_v_many(2, 2, np.arange(1, 4), params, max_terms=5)
