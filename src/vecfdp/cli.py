@@ -207,8 +207,6 @@ def _cmd_insample(args) -> dict:
     table = ingest(args.table)
     vc, meta = _model_from_args(args, table)
     n1, n2 = table.n1, table.n2
-    e_k1, e_k2, e_k, e_s = expected_in_sample(vc, min(n1, 50), min(n2, 50)) \
-        if max(n1, n2) <= 50 else (None,) * 4
     report = {
         "command": "insample",
         "input": {"path": args.table, **table.summary()},
@@ -216,11 +214,13 @@ def _cmd_insample(args) -> dict:
         "correlation": correlation(vc.params, tol=args.tol,
                                    max_terms=args.max_terms),
     }
-    if e_k is not None:
+    if max(n1, n2) <= 50:
+        joint = prior_joint(vc, n1, n2)
+        e_k1, e_k2, e_k, e_s = expected_in_sample(vc, n1, n2, joint=joint)
         report["expected"] = {"k1": e_k1, "k2": e_k2, "k": e_k, "s": e_s}
-        report["pmf_joint"] = _pmf_report(prior_joint(vc, n1, n2))
-        report["pmf_global"] = _pmf_report(prior_marginal_global(vc, n1, n2))
-        report["pmf_shared"] = _pmf_report(prior_marginal_shared(vc, n1, n2))
+        report["pmf_joint"] = _pmf_report(joint)
+        report["pmf_global"] = _pmf_report(prior_marginal_global(vc, n1, n2, joint=joint))
+        report["pmf_shared"] = _pmf_report(prior_marginal_shared(vc, n1, n2, joint=joint))
     else:
         report["note"] = ("in-sample pmf tables are reported only for "
                           "n1, n2 <= 50; larger samples get correlation only")

@@ -5,14 +5,23 @@ probability measures.
 Notation for a sample of sizes (n1, n2): r_j local distinct species in
 group j, r global distinct species, t = r1 + r2 - r shared species, and
 r1* = r - r2, r2* = r - r1 group-exclusive species.
+
+The joint law P(r, r1, r2) is evaluated as one numpy lattice over the cells
+(r1, r2, t), from one batched run of V coefficients, the central GFC rows
+and one log-factorial array.  The global, (global, shared) and shared laws
+are scatter log-sum-exp reductions of that joint, so a caller that needs
+several of them builds the lattice once and passes it as ``joint``.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+from scipy.special import gammaln
+
 from .gfc import central_table
-from .logmath import DomainError, log_binomial, log_factorial, log_sum_exp
+from .logmath import DomainError, log_sum_exp_by
 from .mprior import expected_inv_one_plus_gamma_m, expected_inverse_m
 from .pmftable import PmfTable
 from .vcoef import ModelParams, VCoefficients
@@ -25,91 +34,72 @@ def prior_joint(vc: VCoefficients, n1: int, n2: int) -> PmfTable:
                    * |C(n1, r1; -g1)| |C(n2, r2; -g2)|
 
     over the support 1 <= r_j <= min(r, n_j), max(r1, r2) <= r <= r1 + r2.
+    Evaluated at once on the lattice of cells (r1, r2, t), t = r1 + r2 - r,
+    0 <= t <= min(r1, r2), from one batch of V coefficients; entries are
+    ordered by r1, then r2, then ascending r.
     """
     if n1 < 1 or n2 < 1:
         raise DomainError("both groups need at least one observation")
-    g1, g2 = vc.params.gamma1, vc.params.gamma2
-    t1 = central_table(g1, n1)
-    t2 = central_table(g2, n2)
-    entries = {}
-    for r1 in range(1, n1 + 1):
-        lc1 = t1.log_central(n1, r1)
-        for r2 in range(1, n2 + 1):
-            lc2 = t2.log_central(n2, r2)
-            base = lc1 + lc2 + log_factorial(r1) + log_factorial(r2)
-            for r in range(max(r1, r2), r1 + r2 + 1):
-                t = r1 + r2 - r
-                r1s = r - r2
-                r2s = r - r1
-                lp = (vc.log_v(n1, n2, r) + base
-                      - log_factorial(r1s) - log_factorial(r2s) - log_factorial(t))
-                entries[(r, r1, r2)] = lp
-    return PmfTable(entries)
+    r1 = np.repeat(np.arange(1, n1 + 1), n2)
+    r2 = np.tile(np.arange(1, n2 + 1), n1)
+    top = np.minimum(r1, r2)
+    count = top + 1
+    # t runs from top down to 0 in each (r1, r2) run of cells
+    t = np.repeat(top + np.cumsum(count) - count, count) - np.arange(count.sum())
+    r1, r2 = np.repeat(r1, count), np.repeat(r2, count)
+    r = r1 + r2 - t
+    lf = gammaln(np.arange(max(n1, n2) + 1) + 1.0)  # lf[i] = log i!
+    lc1 = central_table(vc.params.gamma1, n1).log_c[n1, : n1 + 1] + lf[: n1 + 1]
+    lc2 = central_table(vc.params.gamma2, n2).log_c[n2, : n2 + 1] + lf[: n2 + 1]
+    lv = vc.log_v_many(n1, n2, np.arange(1, n1 + n2 + 1))
+    log_p = lv[r - 1] + lc1[r1] + lc2[r2] - lf[r1 - t] - lf[r2 - t] - lf[t]
+    return PmfTable.from_arrays(np.stack([r, r1, r2], axis=1), log_p)
 
 
-def prior_marginal_global(vc: VCoefficients, n1: int, n2: int) -> PmfTable:
-    """Pmf of the global number of distinct species r in (n1, n2) samples.
-
-    Evaluated by the double sum over the per-group "missing species" counts
-    z_j = r - r_j; equals the r-marginal of the joint.  With one group
-    empty the sum collapses to the single-group law V^r_n |C(n, r)|.
+def prior_marginal_global(vc: VCoefficients, n1: int, n2: int, *,
+                          joint: PmfTable | None = None) -> PmfTable:
+    """Pmf of the global number of distinct species r in (n1, n2) samples:
+    the r-marginal of the joint, which is reduced from ``joint`` when given
+    (it must be ``prior_joint(vc, n1, n2)``).  With one group empty the
+    law is the single-group law V^r_n |C(n, r)|.
     """
     if n1 + n2 < 1 or min(n1, n2) < 0:
         raise DomainError("need at least one observation overall")
-    g1, g2 = vc.params.gamma1, vc.params.gamma2
-    t1 = central_table(g1, n1)
-    t2 = central_table(g2, n2)
-    entries = {}
-    for r in range(1, n1 + n2 + 1):
-        terms = []
-        for z1 in range(0, r):
-            lc1 = t1.log_central(n1, r - z1) if r - z1 <= n1 else None
-            if lc1 is None:
-                continue
-            for z2 in range(0, r - z1 + 1):
-                if r - z2 > n2:
-                    continue
-                lc2 = t2.log_central(n2, r - z2)
-                coeff = (log_factorial(r - z1) - log_factorial(z2)
-                         - log_factorial(r - z1 - z2)
-                         + log_factorial(r - z2) - log_factorial(z1))
-                terms.append(coeff + lc1 + lc2)
-        if terms:
-            entries[r] = vc.log_v(n1, n2, r) + log_sum_exp(terms)
-    return PmfTable(entries)
+    if min(n1, n2) == 0:
+        return prior_local(vc, n1 + n2, 1 if n2 == 0 else 2)
+    joint = prior_joint(vc, n1, n2) if joint is None else joint
+    return PmfTable.from_arrays(
+        np.arange(1, n1 + n2 + 1),
+        log_sum_exp_by(joint.keys[:, 0] - 1, joint.log_mass, n1 + n2))
 
 
-def prior_joint_global_shared(vc: VCoefficients, n1: int, n2: int) -> PmfTable:
-    """Joint pmf of (global distinct r, shared t).
+def prior_joint_global_shared(vc: VCoefficients, n1: int, n2: int, *,
+                              joint: PmfTable | None = None) -> PmfTable:
+    """Joint pmf of (global distinct r, shared t), keyed in ascending (r, t):
+    the joint law summed along t = r1 + r2 - r, from ``joint`` when given.
 
     P(r, t) = V^r_{n1,n2} sum_{k1*=0}^{r-t} binom(r-k1*, t) (t+k1*)!/k1*!
               |C(n1, t+k1*; -g1)| |C(n2, r-k1*; -g2)|
     """
-    if n1 < 1 or n2 < 1:
-        raise DomainError("both groups need at least one observation")
-    g1, g2 = vc.params.gamma1, vc.params.gamma2
-    t1 = central_table(g1, n1)
-    t2 = central_table(g2, n2)
-    entries = {}
-    for r in range(1, n1 + n2 + 1):
-        for t in range(0, min(r, n1, n2) + 1):
-            terms = []
-            for k1s in range(0, r - t + 1):
-                r1 = t + k1s
-                r2 = r - k1s
-                if r1 > n1 or r2 > n2 or r2 < 1:
-                    continue
-                terms.append(log_binomial(r - k1s, t)
-                             + log_factorial(r1) - log_factorial(k1s)
-                             + t1.log_central(n1, r1) + t2.log_central(n2, r2))
-            if terms:
-                entries[(r, t)] = vc.log_v(n1, n2, r) + log_sum_exp(terms)
-    return PmfTable(entries)
+    joint = prior_joint(vc, n1, n2) if joint is None else joint
+    r, r1, r2 = joint.keys.T
+    width = min(n1, n2) + 1
+    size = (n1 + n2) * width
+    r_key, t_key = np.divmod(np.arange(size), width)
+    return PmfTable.from_arrays(
+        np.stack([r_key + 1, t_key], axis=1),
+        log_sum_exp_by((r - 1) * width + r1 + r2 - r, joint.log_mass, size))
 
 
-def prior_marginal_shared(vc: VCoefficients, n1: int, n2: int) -> PmfTable:
-    """Pmf of the number of shared species t, including t = 0."""
-    return prior_joint_global_shared(vc, n1, n2).map_keys(lambda key: key[1])
+def prior_marginal_shared(vc: VCoefficients, n1: int, n2: int, *,
+                          joint: PmfTable | None = None) -> PmfTable:
+    """Pmf of the number of shared species t, including t = 0, from
+    ``joint`` when given."""
+    joint = prior_joint(vc, n1, n2) if joint is None else joint
+    r, r1, r2 = joint.keys.T
+    width = min(n1, n2) + 1
+    return PmfTable.from_arrays(np.arange(width),
+                                log_sum_exp_by(r1 + r2 - r, joint.log_mass, width))
 
 
 def prior_local(vc: VCoefficients, n: int, group: int = 1) -> PmfTable:
@@ -120,12 +110,9 @@ def prior_local(vc: VCoefficients, n: int, group: int = 1) -> PmfTable:
     if n < 1:
         raise DomainError("need at least one observation")
     gamma = vc.params.gamma(group)
-    table = central_table(gamma, n)
-    entries = {
-        r: vc.log_v_single(n, r, group) + table.log_central(n, r)
-        for r in range(1, n + 1)
-    }
-    return PmfTable(entries)
+    rs = np.arange(1, n + 1)
+    lv = vc.log_v_many(n, 0, rs) if group == 1 else vc.log_v_many(0, n, rs)
+    return PmfTable.from_arrays(rs, lv + central_table(gamma, n).log_c[n, 1: n + 1])
 
 
 def correlation(params: ModelParams, *, tol: float = 1e-12,
@@ -147,9 +134,11 @@ def correlation(params: ModelParams, *, tol: float = 1e-12,
     return num / den
 
 
-def expected_in_sample(vc: VCoefficients, n1: int, n2: int):
-    """(E[K1], E[K2], E[K], E[S]) from the joint distribution."""
-    joint = prior_joint(vc, n1, n2)
+def expected_in_sample(vc: VCoefficients, n1: int, n2: int, *,
+                       joint: PmfTable | None = None):
+    """(E[K1], E[K2], E[K], E[S]) from the joint distribution, ``joint``
+    when given."""
+    joint = prior_joint(vc, n1, n2) if joint is None else joint
     e_k = joint.mean(0)
     e_k1 = joint.mean(1)
     e_k2 = joint.mean(2)

@@ -88,3 +88,18 @@ def log_sum_exp(terms: Iterable[float]) -> float:
     if math.isinf(hi):  # +inf input: propagate
         return hi
     return hi + math.log(float(np.sum(np.exp(arr - hi))))
+
+
+def log_sum_exp_by(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Scatter log-sum-exp: entry g is the log of the sum of exp(values[i])
+    over the i with index[i] = g, for g in 0..size-1.
+
+    Each group is shifted by its own maximum, so a group far below the
+    others keeps its mass; a group with no finite value gives -inf.
+    """
+    peak = np.full(size, LOG_ZERO)
+    np.maximum.at(peak, index, values)
+    shift = np.where(np.isfinite(peak), peak, 0.0)
+    total = np.bincount(index, weights=np.exp(values - shift[index]), minlength=size)
+    with np.errstate(divide="ignore"):
+        return shift + np.log(total)

@@ -1,27 +1,69 @@
 """Normalized discrete distributions over integers or integer tuples,
-stored in log space."""
+stored in log space as two arrays: the keys and their log masses.
+
+Total mass, means, marginals and the ranking of the most probable entries
+work on the arrays; lookups by key go through a dict view that is built on
+first use.
+"""
 
 from __future__ import annotations
 
 import math
 
-from .logmath import LOG_ZERO, log_add, log_sum_exp
+import numpy as np
+
+from .logmath import LOG_ZERO, log_add, log_sum_exp, log_sum_exp_by
+
+
+def _as_keys(keys: np.ndarray) -> list:
+    """Python keys of a key array: ints for shape (n,), tuples for (n, d)."""
+    out = keys.tolist()
+    return out if keys.ndim == 1 else list(map(tuple, out))
 
 
 class PmfTable:
-    """A finite pmf: mapping from integer (or integer-tuple) keys to log mass.
+    """A finite pmf: integer (or integer-tuple) keys with their log masses.
 
-    Entries with zero mass are dropped on construction, mirroring the
-    "absent outside the support" convention of the exact formulas.
+    ``keys`` is an int array of shape (n,) for integer keys or (n, d) for
+    d-tuples; ``log_mass`` is a float array of shape (n,).  Entries with
+    zero mass are dropped on construction, mirroring the "absent outside
+    the support" convention of the exact formulas.  ``entries``, the dict
+    from key to log mass in array order, is built on first use.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("keys", "log_mass", "_entries")
 
     def __init__(self, entries: dict):
-        self.entries = {k: v for k, v in entries.items() if v > LOG_ZERO}
+        self._keep(np.array(list(entries), dtype=np.int64),
+                   np.fromiter(entries.values(), dtype=float, count=len(entries)))
+
+    @classmethod
+    def from_arrays(cls, keys, log_mass) -> "PmfTable":
+        """The table of ``keys`` (shape (n,) or (n, d)) with log masses
+        ``log_mass`` (shape (n,)); -inf entries are dropped."""
+        table = cls.__new__(cls)
+        table._keep(np.asarray(keys, dtype=np.int64), np.asarray(log_mass, dtype=float))
+        return table
+
+    def _keep(self, keys: np.ndarray, log_mass: np.ndarray) -> None:
+        if keys.shape[:1] != log_mass.shape:
+            raise ValueError(f"{keys.shape[0]} keys for {log_mass.size} masses")
+        keep = log_mass > LOG_ZERO
+        if not keep.all():
+            keys, log_mass = keys[keep], log_mass[keep]
+        self.keys = keys
+        self.log_mass = log_mass
+        self._entries = None
+
+    @property
+    def entries(self) -> dict:
+        """Key -> log mass, in array order."""
+        if self._entries is None:
+            self._entries = dict(zip(_as_keys(self.keys), self.log_mass.tolist()))
+        return self._entries
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.log_mass.size
 
     def __iter__(self):
         return iter(self.entries)
@@ -36,27 +78,26 @@ class PmfTable:
         return math.exp(self.log_prob(key))
 
     def total_mass(self) -> float:
-        return math.exp(log_sum_exp(self.entries.values()))
+        return math.exp(log_sum_exp(self.log_mass))
 
     def probs(self) -> dict:
         return {k: math.exp(v) for k, v in self.entries.items()}
 
     def mean(self, component: int | None = None) -> float:
         """Expectation of the key, or of one tuple component."""
-        total = 0.0
-        for key, lp in self.entries.items():
-            x = key if component is None else key[component]
-            total += x * math.exp(lp)
-        return total
+        x = self.keys if component is None else self.keys[:, component]
+        return float(np.sum(x * np.exp(self.log_mass)))
 
     def marginal(self, component: int) -> "PmfTable":
-        """Sum out every tuple component except the given one."""
-        acc: dict = {}
-        for key, lp in self.entries.items():
-            sub = key[component]
-            prev = acc.get(sub)
-            acc[sub] = lp if prev is None else log_add(prev, lp)
-        return PmfTable(acc)
+        """Sum out every tuple component except the given one; the values
+        keep the order in which they first appear."""
+        unique, first, inverse = np.unique(self.keys[:, component], return_index=True,
+                                           return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        return PmfTable.from_arrays(
+            unique[order], log_sum_exp_by(rank[inverse], self.log_mass, order.size))
 
     def map_keys(self, fn) -> "PmfTable":
         """Aggregate mass under a key transformation (e.g. s = k1 + k2 - k)."""
@@ -68,6 +109,14 @@ class PmfTable:
         return PmfTable(acc)
 
     def top_entries(self, n: int) -> list:
-        """The n highest-mass entries as (key, prob), most probable first."""
-        ranked = sorted(self.entries.items(), key=lambda kv: -kv[1])
-        return [(k, math.exp(v)) for k, v in ranked[:n]]
+        """The n highest-mass entries as (key, prob), most probable first;
+        ties keep the table's order."""
+        rows = np.arange(self.log_mass.size)
+        if 0 < n < rows.size:
+            # the first n of a stable sort all lie at or above the n-th
+            # largest mass, so only those entries need sorting
+            cut = np.partition(self.log_mass, rows.size - n)[-n]
+            rows = np.flatnonzero(self.log_mass >= cut)
+        ranked = rows[np.argsort(-self.log_mass[rows], kind="stable")[:n]]
+        return [(k, math.exp(v)) for k, v in zip(_as_keys(self.keys[ranked]),
+                                                 self.log_mass[ranked].tolist())]

@@ -116,7 +116,7 @@ def posterior_m_pmf(vc: VCoefficients, state: ObservedState) -> PmfTable:
     """
     log_norm, m, terms = v_series(state.n1, state.n2, state.r, vc.params,
                                   tol=vc.tol, max_terms=vc.max_terms)
-    return PmfTable(dict(zip((m - state.r).tolist(), (terms - log_norm).tolist())))
+    return PmfTable.from_arrays(m - state.r, terms - log_norm)
 
 
 def posterior_m_mean(vc: VCoefficients, state: ObservedState) -> float:
@@ -395,8 +395,8 @@ def _expected_new_moments(vc: VCoefficients, state: ObservedState,
     posterior's support as arrays.
     """
     pmf = posterior_m_pmf(vc, state)
-    m_star = np.fromiter(pmf.entries.keys(), dtype=float, count=len(pmf.entries))
-    q = np.exp(np.fromiter(pmf.entries.values(), dtype=float, count=len(pmf.entries)))
+    m_star = pmf.keys.astype(float)
+    q = np.exp(pmf.log_mass)
 
     def miss(gamma, n, m):
         if m == 0:

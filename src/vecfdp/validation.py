@@ -69,6 +69,7 @@ def check_normalization(max_n: int = 4, max_m: int = 2, *,
                     "global_shared": insample.prior_joint_global_shared(vc, n1, n2),
                     "shared": insample.prior_marginal_shared(vc, n1, n2),
                     "local": insample.prior_local(vc, n1, 1),
+                    "local2": insample.prior_local(vc, n2, 2),
                 }
                 for shared in (True, False):
                     state = _default_state(n1, n2, shared)

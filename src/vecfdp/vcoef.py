@@ -71,7 +71,7 @@ def _v_rows(n1: int, n2: int, rs: np.ndarray, params: ModelParams, *,
     # r > n1 + n2 never arises in a partition law but the series is still
     # convergent; the recurrence identity evaluates such coefficients.
     prior = params.m_prior
-    sizes = [(g, n) for g, n in ((params.gamma1, n1), (params.gamma2, n2)) if n > 0]
+    sizes = [(float(g), n) for g, n in ((params.gamma1, n1), (params.gamma2, n2)) if n > 0]
     starts = np.maximum(rs, 1)
     lift = (starts - rs)[:, None]  # m - r starts at 1 on an r = 0 row, else at 0
 

@@ -3,8 +3,11 @@
 Each is a slower, independent route to a quantity the package computes
 another way: non-central GFC values by the binomial convolution over a
 central table, the coverage probability by a Python loop over every lattice
-cell with one cached V lookup per cell, and the moment route of the expected
-new-species counts by a loop over the posterior support.
+cell with one cached V lookup per cell, the moment route of the expected
+new-species counts by a loop over the posterior support, and the in-sample
+laws by scalar loops: the joint cell by cell, the global law by the double
+sum over the missing-species counts and the (global, shared) law by the
+sum over the group-exclusive count.
 """
 
 from __future__ import annotations
@@ -14,7 +17,15 @@ import math
 from scipy.special import logsumexp
 
 from vecfdp.gfc import central_table
-from vecfdp.logmath import LOG_ZERO, DomainError, log_binomial, log_pochhammer, log_sum_exp
+from vecfdp.logmath import (
+    LOG_ZERO,
+    DomainError,
+    log_binomial,
+    log_factorial,
+    log_pochhammer,
+    log_sum_exp,
+)
+from vecfdp.pmftable import PmfTable
 from vecfdp.prediction import ExpectedNew, ObservedState, posterior_m_pmf
 from vecfdp.vcoef import VCoefficients
 
@@ -78,3 +89,79 @@ def expected_new_moments_loop(vc: VCoefficients, state: ObservedState,
         e_k2 += q * (state.r1_star + m_star) * (1.0 - miss2)
         e_k += q * m_star * (1.0 - miss1 * miss2)
     return ExpectedNew(k1=e_k1, k2=e_k2, k=e_k, s=e_k1 + e_k2 - e_k)
+
+
+def prior_joint_loop(vc: VCoefficients, n1: int, n2: int) -> PmfTable:
+    """P(r, r1, r2) = V^r_{n1,n2} r1! r2! / (r1*! r2*! t!)
+    |C(n1, r1; -g1)| |C(n2, r2; -g2)|, one cell at a time."""
+    if n1 < 1 or n2 < 1:
+        raise DomainError("both groups need at least one observation")
+    t1 = central_table(vc.params.gamma1, n1)
+    t2 = central_table(vc.params.gamma2, n2)
+    entries = {}
+    for r1 in range(1, n1 + 1):
+        lc1 = t1.log_central(n1, r1)
+        for r2 in range(1, n2 + 1):
+            lc2 = t2.log_central(n2, r2)
+            base = lc1 + lc2 + log_factorial(r1) + log_factorial(r2)
+            for r in range(max(r1, r2), r1 + r2 + 1):
+                t = r1 + r2 - r
+                entries[(r, r1, r2)] = (vc.log_v(n1, n2, r) + base
+                                        - log_factorial(r - r2) - log_factorial(r - r1)
+                                        - log_factorial(t))
+    return PmfTable(entries)
+
+
+def prior_marginal_global_loop(vc: VCoefficients, n1: int, n2: int) -> PmfTable:
+    """P(r) by the double sum over the missing-species counts z_j = r - r_j:
+
+    P(r) = V^r_{n1,n2} sum_{z1, z2} (r-z1)! (r-z2)! / (z1! z2! (r-z1-z2)!)
+           |C(n1, r-z1; -g1)| |C(n2, r-z2; -g2)|
+
+    z1 runs up to r, so an empty group contributes |C(0, 0)| = 1.
+    """
+    if n1 + n2 < 1 or min(n1, n2) < 0:
+        raise DomainError("need at least one observation overall")
+    t1 = central_table(vc.params.gamma1, n1)
+    t2 = central_table(vc.params.gamma2, n2)
+    entries = {}
+    for r in range(1, n1 + n2 + 1):
+        terms = []
+        for z1 in range(0, r + 1):
+            if r - z1 > n1:
+                continue
+            lc1 = t1.log_central(n1, r - z1)
+            for z2 in range(0, r - z1 + 1):
+                if r - z2 > n2:
+                    continue
+                terms.append(log_factorial(r - z1) - log_factorial(z2)
+                             - log_factorial(r - z1 - z2)
+                             + log_factorial(r - z2) - log_factorial(z1)
+                             + lc1 + t2.log_central(n2, r - z2))
+        if terms:
+            entries[r] = vc.log_v(n1, n2, r) + log_sum_exp(terms)
+    return PmfTable(entries)
+
+
+def prior_joint_global_shared_loop(vc: VCoefficients, n1: int, n2: int) -> PmfTable:
+    """P(r, t) = V^r_{n1,n2} sum_{k1*=0}^{r-t} binom(r-k1*, t) (t+k1*)!/k1*!
+    |C(n1, t+k1*; -g1)| |C(n2, r-k1*; -g2)|, one (r, t) at a time."""
+    if n1 < 1 or n2 < 1:
+        raise DomainError("both groups need at least one observation")
+    t1 = central_table(vc.params.gamma1, n1)
+    t2 = central_table(vc.params.gamma2, n2)
+    entries = {}
+    for r in range(1, n1 + n2 + 1):
+        for t in range(0, min(r, n1, n2) + 1):
+            terms = []
+            for k1s in range(0, r - t + 1):
+                r1 = t + k1s
+                r2 = r - k1s
+                if r1 > n1 or r2 > n2 or r2 < 1:
+                    continue
+                terms.append(log_binomial(r - k1s, t)
+                             + log_factorial(r1) - log_factorial(k1s)
+                             + t1.log_central(n1, r1) + t2.log_central(n2, r2))
+            if terms:
+                entries[(r, t)] = vc.log_v(n1, n2, r) + log_sum_exp(terms)
+    return PmfTable(entries)

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from vecfdp import insample, prediction, simulate
+from vecfdp import insample, prediction, simulate, validation
 from vecfdp.abundance import ants_csv_path, ants_table
 from vecfdp.cli import main as cli_main
 from vecfdp.estimation import (
@@ -36,49 +36,14 @@ def grid_params():
         yield ModelParams(g1, g2, OneShiftedPoisson(lam))
 
 
-def states_for(n1: int, n2: int):
-    r1 = max(1, n1 // 2)
-    r2 = max(1, n2 // 2)
-    yield prediction.ObservedState(n1, n2, r1, r2, max(r1, r2))
-    yield prediction.ObservedState(n1, n2, r1, r2, r1 + r2)
-
-
 def test_criterion_01_normalization_suite():
     t0 = time.time()
-    worst = 0.0
-    for params in grid_params():
-        vc = VCoefficients(params)
-        for n1 in range(1, 7):
-            for n2 in range(1, 7):
-                for table in (insample.prior_joint(vc, n1, n2),
-                              insample.prior_marginal_global(vc, n1, n2),
-                              insample.prior_joint_global_shared(vc, n1, n2),
-                              insample.prior_marginal_shared(vc, n1, n2),
-                              insample.prior_local(vc, n1, 1),
-                              insample.prior_local(vc, n2, 2)):
-                    worst = max(worst, abs(table.total_mass() - 1.0))
-                for state in states_for(n1, n2):
-                    worst = max(worst, abs(
-                        prediction.posterior_m_pmf(vc, state).total_mass() - 1.0))
-                    worst = max(worst, abs(
-                        prediction.one_step_shared_pmf(vc, state).total_mass()
-                        - 1.0))
-                    for m1 in range(0, 4):
-                        for m2 in range(0, 4):
-                            joint = prediction.posterior_joint_new(
-                                vc, state, m1, m2)
-                            worst = max(worst,
-                                        abs(joint.total_mass() - 1.0))
-                            marg = prediction.posterior_marginal_global_new(
-                                vc, state, m1, m2)
-                            worst = max(worst, abs(marg.total_mass() - 1.0))
-                        worst = max(worst, abs(
-                            prediction.posterior_local_new(vc, state, 3, 1)
-                            .total_mass() - 1.0))
+    result = validation.check_normalization(max_n=6, max_m=3, gammas=GAMMAS,
+                                            lams=LAMBDAS)
     elapsed = time.time() - t0
-    print(f"criterion 1 normalization: worst deviation {worst:.3e} "
-          f"(tol 1e-8), {elapsed:.0f}s")
-    assert worst < 1e-8
+    print(f"criterion 1 normalization: worst deviation {result.measured:.3e} "
+          f"(tol 1e-8) for {result.detail}, {elapsed:.0f}s")
+    assert result.measured < 1e-8
     assert elapsed < 120.0
 
 

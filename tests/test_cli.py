@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +9,18 @@ from pathlib import Path
 import pytest
 
 import vecfdp
-from vecfdp.abundance import ants_csv_path
+from vecfdp.abundance import ants_csv_path, write_csv
 from vecfdp.cli import main
+from vecfdp.logmath import log_sum_exp
+from vecfdp.mprior import OneShiftedPoisson
+from vecfdp.simulate import draw_sample, generate_population
+from vecfdp.vcoef import ModelParams, VCoefficients
+
+from oracles import (
+    prior_joint_global_shared_loop,
+    prior_joint_loop,
+    prior_marginal_global_loop,
+)
 
 
 @pytest.fixture()
@@ -84,6 +95,38 @@ def test_insample_large_table_reports_correlation_only(capsys):
     report = json.loads(out)
     assert "note" in report and "pmf_joint" not in report
     assert 0.0 < report["correlation"] <= 1.0
+
+
+def test_insample_laws_match_scalar_loops(capsys, tmp_path):
+    sample = draw_sample(generate_population(60, 0.9, 0.85, seed=3), 40, 50, seed=4)
+    table = sample.table()
+    assert (table.n1, table.n2) == (40, 50)
+    path = tmp_path / "small.csv"
+    write_csv(table, path)
+    code, out, err = run(capsys, "insample", str(path), "--lam", "30",
+                         "--gamma1", "0.8", "--gamma2", "1.7")
+    assert code == 0
+    report = json.loads(out)
+    vc = VCoefficients(ModelParams(0.8, 1.7, OneShiftedPoisson(30.0)))
+    joint = prior_joint_loop(vc, 40, 50).entries
+    by_t: dict = {}
+    for (r, t), lp in prior_joint_global_shared_loop(vc, 40, 50).entries.items():
+        by_t.setdefault(t, []).append(lp)
+    laws = {"pmf_joint": joint,
+            "pmf_global": prior_marginal_global_loop(vc, 40, 50).entries,
+            "pmf_shared": {t: log_sum_exp(terms) for t, terms in by_t.items()}}
+    for name, entries in laws.items():
+        ranked = sorted(entries.items(), key=lambda kv: -kv[1])[:20]
+        got = report[name]["top_entries"]
+        assert [e["key"] for e in got] == [list(k) if isinstance(k, tuple) else k
+                                          for k, _ in ranked], name
+        for e, (_, lp) in zip(got, ranked):
+            assert e["prob"] == pytest.approx(math.exp(lp), abs=1e-12)
+    mean = [sum(key[c] * math.exp(lp) for key, lp in joint.items()) for c in range(3)]
+    want = {"k": mean[0], "k1": mean[1], "k2": mean[2],
+            "s": mean[1] + mean[2] - mean[0]}
+    for key, value in want.items():
+        assert report["expected"][key] == pytest.approx(value, rel=1e-12)
 
 
 def test_predict_report_with_explicit_params(capsys, toy_csv):

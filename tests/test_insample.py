@@ -5,8 +5,14 @@ import pytest
 
 from vecfdp import insample, simulate
 from vecfdp.logmath import DomainError
-from vecfdp.mprior import OneShiftedPoisson, PointMass
+from vecfdp.mprior import OneShiftedPoisson, PointMass, TabulatedPrior
 from vecfdp.vcoef import ModelParams, VCoefficients
+
+from oracles import (
+    prior_joint_global_shared_loop,
+    prior_joint_loop,
+    prior_marginal_global_loop,
+)
 
 PARAMS = ModelParams(1.3, 0.6, OneShiftedPoisson(2.0))
 
@@ -73,6 +79,43 @@ def test_marginal_global_consistency(vc):
         from_joint = joint.marginal(0)
         for r in set(marg.support()) | set(from_joint.support()):
             assert marg.prob(r) == pytest.approx(from_joint.prob(r), abs=1e-10)
+
+
+ORACLE_PARAMS = [
+    ModelParams(0.3, 3.0, OneShiftedPoisson(0.5)),
+    ModelParams(3.0, 0.3, OneShiftedPoisson(40.0)),
+    # V is zero past the support: those cells are absent from both
+    ModelParams(0.3, 3.0, PointMass(3)),
+    ModelParams(3.0, 0.3, TabulatedPrior([0.1, 0.0, 0.3, 0.2, 0.4])),
+]
+
+
+def assert_same_law(got, want):
+    """Identical supports in the same key order, |delta log P| <= 1e-12."""
+    assert list(got.entries) == list(want.entries)
+    gaps = [abs(lp - want.entries[key]) for key, lp in got.entries.items()]
+    assert max(gaps, default=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("params", ORACLE_PARAMS)
+@pytest.mark.parametrize("n1,n2", [(1, 1), (1, 7), (7, 1), (13, 50), (50, 50)])
+def test_laws_match_scalar_loops(params, n1, n2):
+    vc, oracle_vc = VCoefficients(params), VCoefficients(params)
+    assert_same_law(insample.prior_joint(vc, n1, n2),
+                    prior_joint_loop(oracle_vc, n1, n2))
+    assert_same_law(insample.prior_marginal_global(vc, n1, n2),
+                    prior_marginal_global_loop(oracle_vc, n1, n2))
+    assert_same_law(insample.prior_joint_global_shared(vc, n1, n2),
+                    prior_joint_global_shared_loop(oracle_vc, n1, n2))
+
+
+@pytest.mark.parametrize("n1,n2", [(5, 0), (0, 5)])
+def test_marginal_global_one_group_empty_matches_loop(n1, n2):
+    # the double sum reduces to the single-group law of the nonempty group
+    vc = VCoefficients(PARAMS)
+    got = insample.prior_marginal_global(vc, n1, n2)
+    assert got.total_mass() == pytest.approx(1.0, abs=1e-10)
+    assert_same_law(got, prior_marginal_global_loop(VCoefficients(PARAMS), n1, n2))
 
 
 def test_marginal_global_single_group_reduction():

@@ -9,7 +9,7 @@ from vecfdp.estimation import fit_all
 from vecfdp.gfc import log_noncentral_row
 from vecfdp.logmath import DomainError
 from vecfdp.mprior import OneShiftedPoisson, PointMass
-from vecfdp.vcoef import ModelParams, VCoefficients
+from vecfdp.vcoef import ModelParams, VCoefficients, v_series
 
 from oracles import expected_new_moments_loop, lattice_coverage_prob, log_noncentral_gfc
 
@@ -43,6 +43,11 @@ def test_posterior_m_normalization_and_mean(vc):
     state = pred.ObservedState(5, 5, 3, 2, 3)
     pmf = pred.posterior_m_pmf(vc, state)
     assert pmf.total_mass() == pytest.approx(1.0, abs=1e-10)
+    # the V series' window and terms, as arrays
+    log_norm, m, terms = v_series(5, 5, 3, vc.params)
+    assert pmf.keys.tolist() == (m - 3).tolist()
+    assert pmf.log_mass.tolist() == (terms - log_norm).tolist()
+    assert len(pmf.entries) == len(pmf)
     assert pmf.mean() == pytest.approx(pred.posterior_m_mean(vc, state),
                                        rel=1e-8)
     assert pmf.prob(0) > 0.0

@@ -57,6 +57,8 @@ def test_first_factorial_moment():
 def test_point_mass_single_term():
     params = ModelParams(1.0, 1.0, PointMass(3))
     assert log_v(2, 1, 1, params) == pytest.approx(math.log(3.0 / 36.0), rel=1e-13)
+    # integer concentrations give the same series
+    assert log_v(2, 1, 1, ModelParams(1, 1, PointMass(3))) == log_v(2, 1, 1, params)
 
 
 def test_single_group_is_zero_other_size():
