@@ -20,13 +20,7 @@ from . import __version__
 from .abundance import IngestError, ants_csv_path, ingest
 from .baselines import chao_shared_estimator, frequency_counts, yue_estimator
 from .estimation import MomentRangeError, fit_all
-from .insample import (
-    correlation,
-    expected_in_sample,
-    prior_joint,
-    prior_marginal_global,
-    prior_marginal_shared,
-)
+from .insample import correlation, prior_joint, shared_marginal
 from .logmath import ConvergenceError, DomainError
 from .mprior import OneShiftedPoisson
 from .prediction import (
@@ -216,11 +210,11 @@ def _cmd_insample(args) -> dict:
     }
     if max(n1, n2) <= 50:
         joint = prior_joint(vc, n1, n2)
-        e_k1, e_k2, e_k, e_s = expected_in_sample(vc, n1, n2, joint=joint)
-        report["expected"] = {"k1": e_k1, "k2": e_k2, "k": e_k, "s": e_s}
+        e_k, e_k1, e_k2 = (joint.mean(c) for c in range(3))
+        report["expected"] = {"k1": e_k1, "k2": e_k2, "k": e_k, "s": e_k1 + e_k2 - e_k}
         report["pmf_joint"] = _pmf_report(joint)
-        report["pmf_global"] = _pmf_report(prior_marginal_global(vc, n1, n2, joint=joint))
-        report["pmf_shared"] = _pmf_report(prior_marginal_shared(vc, n1, n2, joint=joint))
+        report["pmf_global"] = _pmf_report(joint.marginal(0))
+        report["pmf_shared"] = _pmf_report(shared_marginal(joint))
     else:
         report["note"] = ("in-sample pmf tables are reported only for "
                           "n1, n2 <= 50; larger samples get correlation only")

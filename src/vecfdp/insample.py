@@ -9,8 +9,9 @@ r1* = r - r2, r2* = r - r1 group-exclusive species.
 The joint law P(r, r1, r2) is evaluated as one numpy lattice over the cells
 (r1, r2, t), from one batched run of V coefficients, the central GFC rows
 and one log-factorial array.  The global, (global, shared) and shared laws
-are scatter log-sum-exp reductions of that joint, so a caller that needs
-several of them builds the lattice once and passes it as ``joint``.
+are reductions of that joint: its r-marginal, and scatter log-sum-exp sums
+along t.  A caller that needs several laws builds the joint once and reduces
+it with ``PmfTable.marginal``, ``PmfTable.mean`` and ``shared_marginal``.
 """
 
 from __future__ import annotations
@@ -56,32 +57,26 @@ def prior_joint(vc: VCoefficients, n1: int, n2: int) -> PmfTable:
     return PmfTable.from_arrays(np.stack([r, r1, r2], axis=1), log_p)
 
 
-def prior_marginal_global(vc: VCoefficients, n1: int, n2: int, *,
-                          joint: PmfTable | None = None) -> PmfTable:
+def prior_marginal_global(vc: VCoefficients, n1: int, n2: int) -> PmfTable:
     """Pmf of the global number of distinct species r in (n1, n2) samples:
-    the r-marginal of the joint, which is reduced from ``joint`` when given
-    (it must be ``prior_joint(vc, n1, n2)``).  With one group empty the
-    law is the single-group law V^r_n |C(n, r)|.
+    the r-marginal of the joint.  With one group empty the law is the
+    single-group law V^r_n |C(n, r)|.
     """
     if n1 + n2 < 1 or min(n1, n2) < 0:
         raise DomainError("need at least one observation overall")
     if min(n1, n2) == 0:
         return prior_local(vc, n1 + n2, 1 if n2 == 0 else 2)
-    joint = prior_joint(vc, n1, n2) if joint is None else joint
-    return PmfTable.from_arrays(
-        np.arange(1, n1 + n2 + 1),
-        log_sum_exp_by(joint.keys[:, 0] - 1, joint.log_mass, n1 + n2))
+    return prior_joint(vc, n1, n2).marginal(0)
 
 
-def prior_joint_global_shared(vc: VCoefficients, n1: int, n2: int, *,
-                              joint: PmfTable | None = None) -> PmfTable:
+def prior_joint_global_shared(vc: VCoefficients, n1: int, n2: int) -> PmfTable:
     """Joint pmf of (global distinct r, shared t), keyed in ascending (r, t):
-    the joint law summed along t = r1 + r2 - r, from ``joint`` when given.
+    the joint law summed along t = r1 + r2 - r.
 
     P(r, t) = V^r_{n1,n2} sum_{k1*=0}^{r-t} binom(r-k1*, t) (t+k1*)!/k1*!
               |C(n1, t+k1*; -g1)| |C(n2, r-k1*; -g2)|
     """
-    joint = prior_joint(vc, n1, n2) if joint is None else joint
+    joint = prior_joint(vc, n1, n2)
     r, r1, r2 = joint.keys.T
     width = min(n1, n2) + 1
     size = (n1 + n2) * width
@@ -91,15 +86,18 @@ def prior_joint_global_shared(vc: VCoefficients, n1: int, n2: int, *,
         log_sum_exp_by((r - 1) * width + r1 + r2 - r, joint.log_mass, size))
 
 
-def prior_marginal_shared(vc: VCoefficients, n1: int, n2: int, *,
-                          joint: PmfTable | None = None) -> PmfTable:
-    """Pmf of the number of shared species t, including t = 0, from
-    ``joint`` when given."""
-    joint = prior_joint(vc, n1, n2) if joint is None else joint
+def prior_marginal_shared(vc: VCoefficients, n1: int, n2: int) -> PmfTable:
+    """Pmf of the number of shared species t, including t = 0."""
+    return shared_marginal(prior_joint(vc, n1, n2))
+
+
+def shared_marginal(joint: PmfTable) -> PmfTable:
+    """Law of the shared count t = r1 + r2 - r, in ascending t, from a
+    joint law keyed (r, r1, r2) such as ``prior_joint``."""
     r, r1, r2 = joint.keys.T
-    width = min(n1, n2) + 1
-    return PmfTable.from_arrays(np.arange(width),
-                                log_sum_exp_by(r1 + r2 - r, joint.log_mass, width))
+    t = r1 + r2 - r
+    width = int(t.max(initial=0)) + 1
+    return PmfTable.from_arrays(np.arange(width), log_sum_exp_by(t, joint.log_mass, width))
 
 
 def prior_local(vc: VCoefficients, n: int, group: int = 1) -> PmfTable:
@@ -134,11 +132,9 @@ def correlation(params: ModelParams, *, tol: float = 1e-12,
     return num / den
 
 
-def expected_in_sample(vc: VCoefficients, n1: int, n2: int, *,
-                       joint: PmfTable | None = None):
-    """(E[K1], E[K2], E[K], E[S]) from the joint distribution, ``joint``
-    when given."""
-    joint = prior_joint(vc, n1, n2) if joint is None else joint
+def expected_in_sample(vc: VCoefficients, n1: int, n2: int):
+    """(E[K1], E[K2], E[K], E[S]) from the joint distribution."""
+    joint = prior_joint(vc, n1, n2)
     e_k = joint.mean(0)
     e_k1 = joint.mean(1)
     e_k2 = joint.mean(2)

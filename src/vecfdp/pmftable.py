@@ -90,14 +90,19 @@ class PmfTable:
 
     def marginal(self, component: int) -> "PmfTable":
         """Sum out every tuple component except the given one; the values
-        keep the order in which they first appear."""
-        unique, first, inverse = np.unique(self.keys[:, component], return_index=True,
-                                           return_inverse=True)
-        order = np.argsort(first)
-        rank = np.empty_like(order)
+        keep the order in which they first appear.  Values are scattered
+        over their range min..max, which for counts is small."""
+        x = self.keys[:, component]
+        lo = x.min(initial=0)
+        cell = x - lo
+        first = np.full(x.max(initial=0) - lo + 1, x.size)
+        np.minimum.at(first, cell, np.arange(x.size))
+        seen = np.flatnonzero(first < x.size)
+        order = seen[np.argsort(first[seen])]
+        rank = np.empty_like(first)
         rank[order] = np.arange(order.size)
         return PmfTable.from_arrays(
-            unique[order], log_sum_exp_by(rank[inverse], self.log_mass, order.size))
+            order + lo, log_sum_exp_by(rank[cell], self.log_mass, order.size))
 
     def map_keys(self, fn) -> "PmfTable":
         """Aggregate mass under a key transformation (e.g. s = k1 + k2 - k)."""
@@ -111,12 +116,6 @@ class PmfTable:
     def top_entries(self, n: int) -> list:
         """The n highest-mass entries as (key, prob), most probable first;
         ties keep the table's order."""
-        rows = np.arange(self.log_mass.size)
-        if 0 < n < rows.size:
-            # the first n of a stable sort all lie at or above the n-th
-            # largest mass, so only those entries need sorting
-            cut = np.partition(self.log_mass, rows.size - n)[-n]
-            rows = np.flatnonzero(self.log_mass >= cut)
-        ranked = rows[np.argsort(-self.log_mass[rows], kind="stable")[:n]]
+        ranked = np.argsort(-self.log_mass, kind="stable")[:n]
         return [(k, math.exp(v)) for k, v in zip(_as_keys(self.keys[ranked]),
                                                  self.log_mass[ranked].tolist())]

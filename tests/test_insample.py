@@ -6,6 +6,7 @@ import pytest
 from vecfdp import insample, simulate
 from vecfdp.logmath import DomainError
 from vecfdp.mprior import OneShiftedPoisson, PointMass, TabulatedPrior
+from vecfdp.pmftable import PmfTable
 from vecfdp.vcoef import ModelParams, VCoefficients
 
 from oracles import (
@@ -105,8 +106,11 @@ def test_laws_match_scalar_loops(params, n1, n2):
                     prior_joint_loop(oracle_vc, n1, n2))
     assert_same_law(insample.prior_marginal_global(vc, n1, n2),
                     prior_marginal_global_loop(oracle_vc, n1, n2))
-    assert_same_law(insample.prior_joint_global_shared(vc, n1, n2),
-                    prior_joint_global_shared_loop(oracle_vc, n1, n2))
+    global_shared = prior_joint_global_shared_loop(oracle_vc, n1, n2)
+    assert_same_law(insample.prior_joint_global_shared(vc, n1, n2), global_shared)
+    by_t = global_shared.marginal(1).entries
+    assert_same_law(insample.prior_marginal_shared(vc, n1, n2),
+                    PmfTable({t: by_t[t] for t in sorted(by_t)}))
 
 
 @pytest.mark.parametrize("n1,n2", [(5, 0), (0, 5)])

@@ -77,3 +77,12 @@ def test_array_reductions_match_dict_definitions(random_table):
 def test_top_entries_keep_key_order_on_ties(random_table, n):
     table, entries = random_table
     assert table.top_entries(n) == dict_top(entries, n)
+
+
+def test_marginal_negative_values_and_empty_table():
+    pairs = PmfTable.from_arrays([[5, 1], [-3, 2], [5, 0], [0, 1]], np.log([0.1, 0.2, 0.3, 0.4]))
+    marg = pairs.marginal(0)
+    assert marg.keys.tolist() == [5, -3, 0]
+    assert marg.log_mass == pytest.approx(np.log([0.4, 0.2, 0.4]), abs=1e-15)
+    empty = PmfTable.from_arrays(np.zeros((0, 2), dtype=int), np.zeros(0)).marginal(1)
+    assert len(empty) == 0 and empty.keys.shape == (0,)
