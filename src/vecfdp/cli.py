@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -20,9 +21,10 @@ from . import __version__
 from .abundance import IngestError, ants_csv_path, ingest
 from .baselines import chao_shared_estimator, frequency_counts, yue_estimator
 from .estimation import MomentRangeError, fit_all
-from .insample import correlation, prior_joint, shared_marginal
+from .insample import correlation, prior_joint
 from .logmath import ConvergenceError, DomainError
 from .mprior import OneShiftedPoisson
+from .pmftable import shared_marginal
 from .prediction import (
     ObservedState,
     expected_new,
@@ -121,7 +123,10 @@ def _add_params(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma2", type=float, default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing does not
+    change it, so every call of ``main`` reuses it."""
     parser = _Parser(prog="vecfdp",
                      description="Shared-species analysis for two-area "
                                  "abundance data")

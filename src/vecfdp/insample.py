@@ -11,7 +11,8 @@ The joint law P(r, r1, r2) is evaluated as one numpy lattice over the cells
 and one log-factorial array.  The global, (global, shared) and shared laws
 are reductions of that joint: its r-marginal, and scatter log-sum-exp sums
 along t.  A caller that needs several laws builds the joint once and reduces
-it with ``PmfTable.marginal``, ``PmfTable.mean`` and ``shared_marginal``.
+it with ``PmfTable.marginal``, ``PmfTable.mean`` and
+``pmftable.shared_marginal``.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from .gfc import central_table
+from .gfc import log_noncentral_row
 from .logmath import DomainError, log_sum_exp_by
 from .mprior import expected_inv_one_plus_gamma_m, expected_inverse_m
-from .pmftable import PmfTable
+from .pmftable import PmfTable, shared_marginal
 from .vcoef import ModelParams, VCoefficients
 
 
@@ -50,8 +51,8 @@ def prior_joint(vc: VCoefficients, n1: int, n2: int) -> PmfTable:
     r1, r2 = np.repeat(r1, count), np.repeat(r2, count)
     r = r1 + r2 - t
     lf = gammaln(np.arange(max(n1, n2) + 1) + 1.0)  # lf[i] = log i!
-    lc1 = central_table(vc.params.gamma1, n1).log_c[n1, : n1 + 1] + lf[: n1 + 1]
-    lc2 = central_table(vc.params.gamma2, n2).log_c[n2, : n2 + 1] + lf[: n2 + 1]
+    lc1 = log_noncentral_row(n1, vc.params.gamma1, 0.0) + lf[: n1 + 1]
+    lc2 = log_noncentral_row(n2, vc.params.gamma2, 0.0) + lf[: n2 + 1]
     lv = vc.log_v_many(n1, n2, np.arange(1, n1 + n2 + 1))
     log_p = lv[r - 1] + lc1[r1] + lc2[r2] - lf[r1 - t] - lf[r2 - t] - lf[t]
     return PmfTable.from_arrays(np.stack([r, r1, r2], axis=1), log_p)
@@ -91,15 +92,6 @@ def prior_marginal_shared(vc: VCoefficients, n1: int, n2: int) -> PmfTable:
     return shared_marginal(prior_joint(vc, n1, n2))
 
 
-def shared_marginal(joint: PmfTable) -> PmfTable:
-    """Law of the shared count t = r1 + r2 - r, in ascending t, from a
-    joint law keyed (r, r1, r2) such as ``prior_joint``."""
-    r, r1, r2 = joint.keys.T
-    t = r1 + r2 - r
-    width = int(t.max(initial=0)) + 1
-    return PmfTable.from_arrays(np.arange(width), log_sum_exp_by(t, joint.log_mass, width))
-
-
 def prior_local(vc: VCoefficients, n: int, group: int = 1) -> PmfTable:
     """Single-group pmf of the local number of distinct species.
 
@@ -110,7 +102,7 @@ def prior_local(vc: VCoefficients, n: int, group: int = 1) -> PmfTable:
     gamma = vc.params.gamma(group)
     rs = np.arange(1, n + 1)
     lv = vc.log_v_many(n, 0, rs) if group == 1 else vc.log_v_many(0, n, rs)
-    return PmfTable.from_arrays(rs, lv + central_table(gamma, n).log_c[n, 1: n + 1])
+    return PmfTable.from_arrays(rs, lv + log_noncentral_row(n, gamma, 0.0)[1:])
 
 
 def correlation(params: ModelParams, *, tol: float = 1e-12,

@@ -3,7 +3,8 @@ stored in log space as two arrays: the keys and their log masses.
 
 Total mass, means, marginals and the ranking of the most probable entries
 work on the arrays; lookups by key go through a dict view that is built on
-first use.
+first use.  ``shared_marginal`` reduces a joint law of (total, local1,
+local2) counts to the law of its shared count.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 
 import numpy as np
 
-from .logmath import LOG_ZERO, log_add, log_sum_exp, log_sum_exp_by
+from .logmath import LOG_ZERO, log_sum_exp, log_sum_exp_by
 
 
 def _as_keys(keys: np.ndarray) -> list:
@@ -104,18 +105,19 @@ class PmfTable:
         return PmfTable.from_arrays(
             order + lo, log_sum_exp_by(rank[cell], self.log_mass, order.size))
 
-    def map_keys(self, fn) -> "PmfTable":
-        """Aggregate mass under a key transformation (e.g. s = k1 + k2 - k)."""
-        acc: dict = {}
-        for key, lp in self.entries.items():
-            new = fn(key)
-            prev = acc.get(new)
-            acc[new] = lp if prev is None else log_add(prev, lp)
-        return PmfTable(acc)
-
     def top_entries(self, n: int) -> list:
         """The n highest-mass entries as (key, prob), most probable first;
         ties keep the table's order."""
         ranked = np.argsort(-self.log_mass, kind="stable")[:n]
         return [(k, math.exp(v)) for k, v in zip(_as_keys(self.keys[ranked]),
                                                  self.log_mass[ranked].tolist())]
+
+
+def shared_marginal(joint: PmfTable) -> PmfTable:
+    """Law of the shared count t = local1 + local2 - total, in ascending t,
+    from a joint law keyed (total, local1, local2) such as
+    ``insample.prior_joint`` or ``prediction.posterior_joint_new``."""
+    total, local1, local2 = joint.keys.T
+    t = local1 + local2 - total
+    width = int(t.max(initial=0)) + 1
+    return PmfTable.from_arrays(np.arange(width), log_sum_exp_by(t, joint.log_mass, width))

@@ -28,10 +28,9 @@ from .logmath import (
     log_add,
     log_binomial,
     log_factorial,
-    log_pochhammer,
     log_sum_exp,
 )
-from .pmftable import PmfTable
+from .pmftable import PmfTable, shared_marginal
 from .vcoef import VCoefficients, v_series
 
 #: cells of the coverage lattice summed per numpy block
@@ -123,24 +122,6 @@ def posterior_m_mean(vc: VCoefficients, state: ObservedState) -> float:
     """E(M* | data) = V^{r+1}_{n1,n2} / V^r_{n1,n2}."""
     return math.exp(vc.log_v(state.n1, state.n2, state.r + 1)
                     - vc.log_v(state.n1, state.n2, state.r))
-
-
-def posterior_m_mean_asymptotic(vc: VCoefficients, state: ObservedState) -> float:
-    """Large-sample approximation of E(M* | data):
-
-    (r+1) q_M(r+1)/q_M(r) (g1 r)_{g1} (g2 r)_{g2} n1^{-g1} n2^{-g2}
-    """
-    prior = vc.params.m_prior
-    r = state.r
-    lq_r, lq_r1 = prior.log_pmf(r), prior.log_pmf(r + 1)
-    if lq_r == LOG_ZERO:
-        raise DomainError(f"prior mass at r={r} is zero")
-    if lq_r1 == LOG_ZERO:
-        return 0.0
-    g1, g2 = vc.params.gamma1, vc.params.gamma2
-    return math.exp(math.log(r + 1.0) + lq_r1 - lq_r
-                    + log_pochhammer(g1 * r, g1) + log_pochhammer(g2 * r, g2)
-                    - g1 * math.log(state.n1) - g2 * math.log(state.n2))
 
 
 def _log_inner_sum(k: int, k1: int, k2: int, r1_star: int, r2_star: int) -> float:
@@ -245,8 +226,8 @@ def posterior_local_new(vc: VCoefficients, state: ObservedState, m: int,
              |C(m_j, k_j; -g_j, -(g_j r_j + n_j))|
 
     with single-group V coefficients: this conditions on group j's own data
-    only (how it relates to the exact joint-law marginal when the other
-    group has data is reported by :func:`local_marginal_gap`).
+    only, so it need not match the joint law's marginal when the other
+    group has data.
     """
     if m < 0:
         raise DomainError("future sample size must be >= 0")
@@ -260,21 +241,6 @@ def posterior_local_new(vc: VCoefficients, state: ObservedState, m: int,
         for k in range(0, m + 1)
     }
     return PmfTable(entries)
-
-
-def local_marginal_gap(vc: VCoefficients, state: ObservedState,
-                       m1: int, m2: int, group: int = 1) -> float:
-    """Max absolute gap between the single-group law and the joint marginal.
-
-    The single-group formula conditions on one group's data; the joint law
-    conditions on both.  The two need not coincide, so the gap is reported
-    rather than asserted away.
-    """
-    joint = posterior_joint_new(vc, state, m1, m2)
-    marg = joint.marginal(1 if group == 1 else 2)
-    single = posterior_local_new(vc, state, m1 if group == 1 else m2, group)
-    keys = set(marg.support()) | set(single.support())
-    return max(abs(marg.prob(k) - single.prob(k)) for k in keys)
 
 
 def shared_coverage_prob(vc: VCoefficients, state: ObservedState,
@@ -351,32 +317,29 @@ def shared_pmf(vc: VCoefficients, state: ObservedState,
                m1: int, m2: int) -> PmfTable:
     """Pmf of the number of new shared species in (m1, m2), aggregated from
     the joint law along s = k1 + k2 - k."""
-    joint = posterior_joint_new(vc, state, m1, m2)
-    return joint.map_keys(lambda key: key[1] + key[2] - key[0])
+    return shared_marginal(posterior_joint_new(vc, state, m1, m2))
 
 
-def expected_new(vc: VCoefficients, state: ObservedState, m1: int, m2: int,
-                 *, method: str = "auto") -> ExpectedNew:
+def expected_new(vc: VCoefficients, state: ObservedState,
+                 m1: int, m2: int) -> ExpectedNew:
     """Expected numbers of new (k1, k2, k, s) species in (m1, m2).
 
-    ``joint`` sums the joint law (cost grows fast with m1 + m2);
-    ``moment`` computes the same expectations by conditioning on the
-    unseen-species count and using per-species appearance probabilities,
-    which costs only the posterior support and scales to any future sizes.
-    ``auto`` switches at m1 + m2 > 12.  Either way s = k1 + k2 - k holds
-    by construction, and both routes condition on both groups' data.
+    For m1 + m2 <= 12 the means of the joint law are summed; beyond that
+    its O(m^5) cost is too high, and the moment route conditions on the
+    unseen-species count and sums per-species appearance probabilities over
+    the posterior's support, at any future size.  The switch is also about
+    precision: at large rates the moment route loses digits in its
+    ``gammaln`` differences (on the ants table at lam = 1e3, m = (3, 4),
+    relative error 1e-9 against 3e-12 for the joint route).  Either way
+    s = k1 + k2 - k holds by construction, and both routes condition on
+    both groups' data.
     """
-    if method == "auto":
-        method = "joint" if m1 + m2 <= 12 else "moment"
-    if method == "joint":
-        joint = posterior_joint_new(vc, state, m1, m2)
-        e_k = joint.mean(0)
-        e_k1 = joint.mean(1)
-        e_k2 = joint.mean(2)
-    elif method == "moment":
+    if m1 + m2 > 12:
         return _expected_new_moments(vc, state, m1, m2)
-    else:
-        raise DomainError(f"unknown method {method!r}")
+    joint = posterior_joint_new(vc, state, m1, m2)
+    e_k = joint.mean(0)
+    e_k1 = joint.mean(1)
+    e_k2 = joint.mean(2)
     return ExpectedNew(k1=e_k1, k2=e_k2, k=e_k, s=e_k1 + e_k2 - e_k)
 
 

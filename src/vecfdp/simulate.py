@@ -174,13 +174,6 @@ def conditional_future_draws(vc: VCoefficients, state: ObservedState,
     return out
 
 
-def conditional_future_sample(vc: VCoefficients, state: ObservedState,
-                              m1: int, m2: int, seed: int) -> tuple[int, int, int, int]:
-    """One draw of (k, k1, k2, s); see :func:`conditional_future_draws`."""
-    return tuple(int(x) for x in
-                 conditional_future_draws(vc, state, m1, m2, 1, seed)[0])
-
-
 def empirical_pmf(draws: np.ndarray, columns=(0, 1, 2)) -> PmfTable:
     """Empirical distribution of selected draw columns as a log-space pmf."""
     keys, counts = np.unique(draws[:, list(columns)], axis=0, return_counts=True)
@@ -391,7 +384,7 @@ def run_experiment2(config: Experiment2Config) -> list[dict]:
             vc = VCoefficients(params)
             state = ObservedState.from_abundance(table)
             m_future = config.n - train
-            est = expected_new(vc, state, m_future, m_future, method="moment")
+            est = expected_new(vc, state, m_future, m_future)
             predicted = s_obs + est.s
             per_split[pct]["predicted"].append(predicted)
             per_split[pct]["true"].append(float(s_true))

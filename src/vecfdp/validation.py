@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from . import insample, prediction, simulate
-from .gfc import central_table
+from .gfc import build_central_table
 from .mprior import OneShiftedPoisson
 from .vcoef import ModelParams, VCoefficients, log_v
 
@@ -148,10 +148,10 @@ def check_single_group_normalization(max_n: int = 10,
     for gamma in (0.3, 1.0, 3.0):
         for lam in (0.5, 2.0, 8.0):
             params = ModelParams(gamma, 1.0, OneShiftedPoisson(lam))
-            table = central_table(gamma, max_n)
+            table = build_central_table(gamma, max_n)
             for n in range(1, max_n + 1):
                 total = math.fsum(
-                    math.exp(log_v(n, 0, r, params) + table.log_central(n, r))
+                    math.exp(log_v(n, 0, r, params) + table[n, r])
                     for r in range(1, n + 1))
                 worst = max(worst, abs(total - 1.0))
     return _result("single_group_normalization", worst, tol)

@@ -4,19 +4,21 @@ Each is a slower, independent route to a quantity the package computes
 another way: non-central GFC values by the binomial convolution over a
 central table, the coverage probability by a Python loop over every lattice
 cell with one cached V lookup per cell, the moment route of the expected
-new-species counts by a loop over the posterior support, and the in-sample
-laws by scalar loops: the joint cell by cell, the global law by the double
-sum over the missing-species counts and the (global, shared) law by the
-sum over the group-exclusive count.
+new-species counts by a loop over the posterior support and by the same
+sum in mpmath arithmetic, and the in-sample laws by scalar loops: the joint
+cell by cell, the global law by the double sum over the missing-species
+counts and the (global, shared) law by the sum over the group-exclusive
+count.
 """
 
 from __future__ import annotations
 
 import math
 
+import mpmath
 from scipy.special import logsumexp
 
-from vecfdp.gfc import central_table
+from vecfdp.gfc import build_central_table
 from vecfdp.logmath import (
     LOG_ZERO,
     DomainError,
@@ -48,9 +50,9 @@ def log_noncentral_gfc(m: int, k: int, gamma: float, rho: float) -> float:
         raise DomainError(f"rho must be >= 0, got {rho}")
     if k < 0 or k > m:
         raise DomainError(f"need 0 <= k <= m, got m={m}, k={k}")
-    table = central_table(gamma, m)
+    table = build_central_table(gamma, m)
     terms = [
-        log_binomial(m, j) + _log_rising(rho, m - j) + table.log_central(j, k)
+        log_binomial(m, j) + _log_rising(rho, m - j) + table[j, k]
         for j in range(k, m + 1)
     ]
     return float(logsumexp(terms)) if terms else LOG_ZERO
@@ -91,18 +93,56 @@ def expected_new_moments_loop(vc: VCoefficients, state: ObservedState,
     return ExpectedNew(k1=e_k1, k2=e_k2, k=e_k, s=e_k1 + e_k2 - e_k)
 
 
+def expected_new_moments_mp(state: ObservedState, params, m1: int, m2: int,
+                            dps: int = 30) -> ExpectedNew:
+    """The moment sum of the expected new-species counts in ``dps``-digit
+    arithmetic, for a one-shifted Poisson prior of rate lam.
+
+    The posterior weight of m* unseen species is
+    (m*+r)!/m*! q_M(m*+r) / prod_j (g_j (m*+r))_{n_j}, summed from m* = 0
+    until 40 standard deviations of the prior past its mean.
+    """
+    with mpmath.workdps(dps):
+        g1, g2 = mpmath.mpf(params.gamma1), mpmath.mpf(params.gamma2)
+        lam = mpmath.mpf(params.m_prior.lam)
+        top = int(params.m_prior.lam + 40.0 * math.sqrt(params.m_prior.lam) + 200)
+        log_w, miss1, miss2 = [], [], []
+        for m_star in range(top):
+            m = m_star + state.r
+            log_w.append(mpmath.loggamma(m + 1) - mpmath.loggamma(m_star + 1)
+                         - lam + (m - 1) * mpmath.log(lam) - mpmath.loggamma(m)
+                         - mpmath.log(mpmath.rf(g1 * m, state.n1))
+                         - mpmath.log(mpmath.rf(g2 * m, state.n2)))
+            c1, c2 = g1 * m + state.n1, g2 * m + state.n2
+            miss1.append(mpmath.rf(c1 - g1, m1) / mpmath.rf(c1, m1))
+            miss2.append(mpmath.rf(c2 - g2, m2) / mpmath.rf(c2, m2))
+        peak = max(log_w)
+        w = [mpmath.exp(x - peak) for x in log_w]
+        total = mpmath.fsum(w)
+        if w[-1] > total * mpmath.mpf(10) ** (-dps):
+            raise DomainError("posterior mass left past the summed window")
+        e_k1 = mpmath.fsum(wi * (state.r2_star + i) * (1 - a)
+                           for i, (wi, a) in enumerate(zip(w, miss1))) / total
+        e_k2 = mpmath.fsum(wi * (state.r1_star + i) * (1 - b)
+                           for i, (wi, b) in enumerate(zip(w, miss2))) / total
+        e_k = mpmath.fsum(wi * i * (1 - a * b)
+                          for i, (wi, a, b) in enumerate(zip(w, miss1, miss2))) / total
+        return ExpectedNew(k1=float(e_k1), k2=float(e_k2), k=float(e_k),
+                           s=float(e_k1 + e_k2 - e_k))
+
+
 def prior_joint_loop(vc: VCoefficients, n1: int, n2: int) -> PmfTable:
     """P(r, r1, r2) = V^r_{n1,n2} r1! r2! / (r1*! r2*! t!)
     |C(n1, r1; -g1)| |C(n2, r2; -g2)|, one cell at a time."""
     if n1 < 1 or n2 < 1:
         raise DomainError("both groups need at least one observation")
-    t1 = central_table(vc.params.gamma1, n1)
-    t2 = central_table(vc.params.gamma2, n2)
+    t1 = build_central_table(vc.params.gamma1, n1)
+    t2 = build_central_table(vc.params.gamma2, n2)
     entries = {}
     for r1 in range(1, n1 + 1):
-        lc1 = t1.log_central(n1, r1)
+        lc1 = t1[n1, r1]
         for r2 in range(1, n2 + 1):
-            lc2 = t2.log_central(n2, r2)
+            lc2 = t2[n2, r2]
             base = lc1 + lc2 + log_factorial(r1) + log_factorial(r2)
             for r in range(max(r1, r2), r1 + r2 + 1):
                 t = r1 + r2 - r
@@ -122,22 +162,22 @@ def prior_marginal_global_loop(vc: VCoefficients, n1: int, n2: int) -> PmfTable:
     """
     if n1 + n2 < 1 or min(n1, n2) < 0:
         raise DomainError("need at least one observation overall")
-    t1 = central_table(vc.params.gamma1, n1)
-    t2 = central_table(vc.params.gamma2, n2)
+    t1 = build_central_table(vc.params.gamma1, n1)
+    t2 = build_central_table(vc.params.gamma2, n2)
     entries = {}
     for r in range(1, n1 + n2 + 1):
         terms = []
         for z1 in range(0, r + 1):
             if r - z1 > n1:
                 continue
-            lc1 = t1.log_central(n1, r - z1)
+            lc1 = t1[n1, r - z1]
             for z2 in range(0, r - z1 + 1):
                 if r - z2 > n2:
                     continue
                 terms.append(log_factorial(r - z1) - log_factorial(z2)
                              - log_factorial(r - z1 - z2)
                              + log_factorial(r - z2) - log_factorial(z1)
-                             + lc1 + t2.log_central(n2, r - z2))
+                             + lc1 + t2[n2, r - z2])
         if terms:
             entries[r] = vc.log_v(n1, n2, r) + log_sum_exp(terms)
     return PmfTable(entries)
@@ -148,8 +188,8 @@ def prior_joint_global_shared_loop(vc: VCoefficients, n1: int, n2: int) -> PmfTa
     |C(n1, t+k1*; -g1)| |C(n2, r-k1*; -g2)|, one (r, t) at a time."""
     if n1 < 1 or n2 < 1:
         raise DomainError("both groups need at least one observation")
-    t1 = central_table(vc.params.gamma1, n1)
-    t2 = central_table(vc.params.gamma2, n2)
+    t1 = build_central_table(vc.params.gamma1, n1)
+    t2 = build_central_table(vc.params.gamma2, n2)
     entries = {}
     for r in range(1, n1 + n2 + 1):
         for t in range(0, min(r, n1, n2) + 1):
@@ -161,7 +201,7 @@ def prior_joint_global_shared_loop(vc: VCoefficients, n1: int, n2: int) -> PmfTa
                     continue
                 terms.append(log_binomial(r - k1s, t)
                              + log_factorial(r1) - log_factorial(k1s)
-                             + t1.log_central(n1, r1) + t2.log_central(n2, r2))
+                             + t1[n1, r1] + t2[n2, r2])
             if terms:
                 entries[(r, t)] = vc.log_v(n1, n2, r) + log_sum_exp(terms)
     return PmfTable(entries)

@@ -10,7 +10,7 @@ import pytest
 
 import vecfdp
 from vecfdp.abundance import ants_csv_path, write_csv
-from vecfdp.cli import main
+from vecfdp.cli import build_parser, main
 from vecfdp.logmath import log_sum_exp
 from vecfdp.mprior import OneShiftedPoisson
 from vecfdp.simulate import draw_sample, generate_population
@@ -315,6 +315,19 @@ def test_validate_failure_exit_code(capsys, monkeypatch):
 def test_unknown_command_is_input_error(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 1
+
+
+def test_parser_reused_after_error_and_version(capsys, toy_csv):
+    # one parser serves every call of main in a process
+    assert build_parser() is build_parser()
+    assert run(capsys, "predict", toy_csv, "--m1", "x")[0] == 1
+    code, out, _ = run(capsys, "--version")
+    assert code == 0 and out.strip() == vecfdp.__version__
+    params = ("--lam", "3.0", "--gamma1", "0.8", "--gamma2", "1.1")
+    first = run(capsys, "insample", toy_csv, *params)
+    assert first[0] == 0
+    assert run(capsys, "discover", toy_csv, *params)[0] == 0
+    assert run(capsys, "insample", toy_csv, *params) == first
 
 
 def test_cli_import_leaves_out_scipy_stats():

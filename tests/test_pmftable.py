@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vecfdp.logmath import LOG_ZERO, log_add
-from vecfdp.pmftable import PmfTable
+from vecfdp.pmftable import PmfTable, shared_marginal
 
 
 def dict_group(entries: dict, fn) -> dict:
@@ -66,11 +66,18 @@ def test_array_reductions_match_dict_definitions(random_table):
         assert table.mean(c) == pytest.approx(
             sum(k[c] * math.exp(v) for k, v in entries.items()), rel=1e-14)
         assert_same(table.marginal(c), dict_group(entries, lambda k, c=c: k[c]))
-    fn = lambda k: (k[0], k[1] + k[2] - k[0])  # noqa: E731
-    assert_same(table.map_keys(fn), dict_group(entries, fn))
-    scalar = table.map_keys(lambda k: k[1] + k[2])
-    assert scalar.mean() == pytest.approx(
-        sum((k[1] + k[2]) * math.exp(v) for k, v in entries.items()), rel=1e-14)
+    # shared_marginal on random (total, local1, local2) keys whose shared
+    # count t = local1 + local2 - total is in 0..5, in ascending t
+    rng = np.random.default_rng(11)
+    locals_ = np.unique(rng.integers(0, 8, size=(150, 2)), axis=0)
+    t = rng.integers(0, np.minimum(locals_.min(axis=1), 5) + 1)
+    keys = np.column_stack([locals_.sum(axis=1) - t, locals_])
+    log_mass = np.log(rng.choice([1.0, 2.0, 3.0, 5.0], size=len(keys)))
+    log_mass -= np.log(np.exp(log_mass).sum())
+    entries = dict(zip(map(tuple, keys.tolist()), log_mass.tolist()))
+    want = dict_group(entries, lambda k: k[1] + k[2] - k[0])
+    assert_same(shared_marginal(PmfTable.from_arrays(keys, log_mass)),
+                dict(sorted(want.items())))
 
 
 @pytest.mark.parametrize("n", [0, 1, 5, 17, 500])

@@ -7,16 +7,50 @@ from vecfdp import simulate
 from vecfdp.abundance import ants_table
 from vecfdp.estimation import fit_all
 from vecfdp.gfc import log_noncentral_row
-from vecfdp.logmath import DomainError
+from vecfdp.logmath import LOG_ZERO, DomainError, log_pochhammer
 from vecfdp.mprior import OneShiftedPoisson, PointMass
 from vecfdp.vcoef import ModelParams, VCoefficients, v_series
 
-from oracles import expected_new_moments_loop, lattice_coverage_prob, log_noncentral_gfc
+from oracles import (
+    expected_new_moments_loop,
+    expected_new_moments_mp,
+    lattice_coverage_prob,
+    log_noncentral_gfc,
+)
 
 PARAMS = ModelParams(1.3, 0.6, OneShiftedPoisson(2.0))
 
 STATE = pred.ObservedState(n1=4, n2=3, r1=2, r2=2, r=3,
                            counts1=(2, 2, 0), counts2=(1, 0, 2))
+
+
+def posterior_m_mean_asymptotic(vc, state) -> float:
+    """Large-sample approximation of E(M* | data):
+
+    (r+1) q_M(r+1)/q_M(r) (g1 r)_{g1} (g2 r)_{g2} n1^{-g1} n2^{-g2}
+    """
+    prior = vc.params.m_prior
+    r = state.r
+    lq_r, lq_r1 = prior.log_pmf(r), prior.log_pmf(r + 1)
+    if lq_r == LOG_ZERO:
+        raise DomainError(f"prior mass at r={r} is zero")
+    if lq_r1 == LOG_ZERO:
+        return 0.0
+    g1, g2 = vc.params.gamma1, vc.params.gamma2
+    return math.exp(math.log(r + 1.0) + lq_r1 - lq_r
+                    + log_pochhammer(g1 * r, g1) + log_pochhammer(g2 * r, g2)
+                    - g1 * math.log(state.n1) - g2 * math.log(state.n2))
+
+
+def local_marginal_gap(vc, state, m1, m2, group=1) -> float:
+    """Max absolute gap between the single-group law, which conditions on
+    one group's data, and the joint law's marginal, which conditions on
+    both."""
+    joint = pred.posterior_joint_new(vc, state, m1, m2)
+    marg = joint.marginal(1 if group == 1 else 2)
+    single = pred.posterior_local_new(vc, state, m1 if group == 1 else m2, group)
+    keys = set(marg.support()) | set(single.support())
+    return max(abs(marg.prob(k) - single.prob(k)) for k in keys)
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +116,7 @@ def test_posterior_m_mean_asymptotic_agreement():
     for n in (100, 400, 1600):
         state = pred.ObservedState(n, n, 3, 3, 4)
         exact = pred.posterior_m_mean(vc, state)
-        approx = pred.posterior_m_mean_asymptotic(vc, state)
+        approx = posterior_m_mean_asymptotic(vc, state)
         ratios.append(exact / approx)
     assert abs(ratios[-1] - 1.0) < abs(ratios[0] - 1.0)
     assert ratios[-1] == pytest.approx(1.0, abs=1e-2)
@@ -155,7 +189,7 @@ def test_local_new_normalization_and_one_step_value(vc):
 def test_local_vs_joint_marginal_gap_reported(vc):
     # the single-group law conditions on less data; the gap is a reported
     # diagnostic, not an identity
-    gap = pred.local_marginal_gap(vc, STATE, 2, 2, 1)
+    gap = local_marginal_gap(vc, STATE, 2, 2, 1)
     assert 0.0 <= gap <= 1.0
     print(f"single-group vs joint-marginal gap at (2,2): {gap:.4f}")
 
@@ -209,7 +243,7 @@ def test_expected_new_moments_match_loop(ants, lam):
     if lam is not None:
         params = ModelParams(1.0, 1.0, OneShiftedPoisson(lam))
     vc = VCoefficients(params)
-    got = pred.expected_new(vc, state, 1000, 1000, method="moment")
+    got = pred.expected_new(vc, state, 1000, 1000)
     want = expected_new_moments_loop(vc, state, 1000, 1000)
     for x, y in zip(got, want):
         assert x == pytest.approx(y, rel=1e-12)
@@ -267,11 +301,23 @@ def test_expected_new_linearity_and_zero_query(vc):
 
 
 def test_expected_new_moment_route_matches_joint(vc):
+    # small futures take the joint route; the loop oracle is the moment route
     for m1, m2 in ((1, 1), (3, 2), (0, 2), (4, 4)):
-        a = pred.expected_new(vc, STATE, m1, m2, method="joint")
-        b = pred.expected_new(vc, STATE, m1, m2, method="moment")
+        a = pred.expected_new(vc, STATE, m1, m2)
+        b = expected_new_moments_loop(vc, STATE, m1, m2)
         for x, y in zip(a, b):
             assert x == pytest.approx(y, abs=1e-8)
+
+
+def test_expected_new_small_futures_exact_at_large_rate(ants):
+    # why small futures take the joint route: at lam = 1e3 the moment
+    # route's gammaln differences leave about 1e-9 relative error
+    state, _ = ants
+    params = ModelParams(0.5, 2.0, OneShiftedPoisson(1e3))
+    got = pred.expected_new(VCoefficients(params), state, 3, 4)
+    want = expected_new_moments_mp(state, params, 3, 4)
+    for x, y in zip(got, want):
+        assert x == pytest.approx(y, rel=1e-10)
 
 
 def test_expected_new_sampler_agreement(vc):
