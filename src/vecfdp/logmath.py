@@ -71,11 +71,6 @@ def log_binomial(n: int, k: int) -> float:
     return log_factorial(n) - log_factorial(k) - log_factorial(n - k)
 
 
-def log_add(a: float, b: float) -> float:
-    """log(e^a + e^b) without overflow; -inf acts as the additive zero."""
-    return float(np.logaddexp(a, b))
-
-
 def log_sum_exp(terms: Iterable[float]) -> float:
     """log of a sum of exponentials via max shift; empty input gives -inf."""
     arr = np.asarray(list(terms) if not isinstance(terms, np.ndarray) else terms,

@@ -6,10 +6,12 @@ curves.
 All distributions condition on an observed state (n1, n2, r1, r2, r) and
 feed on two ingredients: V-coefficient ratios and non-central generalized
 factorial coefficients |C(m, k; -gamma_j, -(gamma_j r_j + n_j))|, streamed
-as whole rows in O(m) memory.  The coverage probability reads a run of V
-coefficients from one batched evaluation and sums its lattice on numpy
-blocks, so it scales to futures of 10^4 per group; the moment route of the
-expected counts works on the posterior's support as arrays.
+as whole rows in O(m) memory.  Every ratio V^{r+k}_{n1+m1,n2+m2} /
+V^r_{n1,n2} is an expectation over the posterior of the unseen species
+count M*, from one helper, :func:`_log_v_ratios`: no law subtracts two
+logs of V, which reach 10^7 at sample sizes of 10^6.  The coverage lattice
+is summed on numpy blocks; the expected counts sum appearance
+probabilities over the posterior as arrays, at any future size.
 """
 
 from __future__ import annotations
@@ -22,19 +24,17 @@ import numpy as np
 from scipy.special import gammaln
 
 from .gfc import log_noncentral_row
-from .logmath import (
-    LOG_ZERO,
-    DomainError,
-    log_add,
-    log_binomial,
-    log_factorial,
-    log_sum_exp,
-)
+from .logmath import LOG_ZERO, DomainError, log_binomial, log_factorial, log_sum_exp
 from .pmftable import PmfTable, shared_marginal
-from .vcoef import VCoefficients, v_series
+from .vcoef import VCoefficients
 
-#: cells of the coverage lattice summed per numpy block
+#: cells of the coverage lattice and of the (k, M*) ratio matrix per block
 _LATTICE_BLOCK = 1 << 16
+#: factors of a rising factorial taken one by one; past them the arguments
+#: are at least this large, where six Stirling terms reach double precision
+_DIRECT = 16
+#: B_{2j} / (2j (2j - 1)), j = 1..6: the Stirling series of log Gamma
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
 
 
 @dataclass(frozen=True)
@@ -96,12 +96,6 @@ class ExpectedNew(NamedTuple):
     s: float
 
 
-def _rho(state: ObservedState, gamma: float, group: int) -> float:
-    if group == 1:
-        return gamma * state.r1 + state.n1
-    return gamma * state.r2 + state.n2
-
-
 def posterior_m_pmf(vc: VCoefficients, state: ObservedState) -> PmfTable:
     """Posterior pmf of the number of species never observed so far.
 
@@ -113,15 +107,98 @@ def posterior_m_pmf(vc: VCoefficients, state: ObservedState) -> PmfTable:
     normalized by construction.  Note q*(0) > 0: the sample may already
     have exhausted the species pool.
     """
-    log_norm, m, terms = v_series(state.n1, state.n2, state.r, vc.params,
-                                  tol=vc.tol, max_terms=vc.max_terms)
+    log_norm, m, terms = vc.v_series(state.n1, state.n2, state.r)
     return PmfTable.from_arrays(m - state.r, terms - log_norm)
+
+
+def _posterior(vc: VCoefficients, n1: int, n2: int, r: int):
+    """(m*, log weights) of the posterior of M* given sizes (n1, n2) and r
+    species, over the V^r_{n1,n2} series' window: its nonzero terms shifted
+    by their peak, so the rounding of log V (2e-9 at |log V| = 10^7) stays
+    out of them."""
+    _, m, terms = vc.v_series(n1, n2, r)
+    keep = terms > LOG_ZERO
+    if not keep.any():
+        raise DomainError(f"V^{r}_({n1},{n2}) is zero under this prior")
+    terms = terms[keep]
+    return (m[keep] - r).astype(float), terms - terms.max()
+
+
+def _stirling_gap(z, a):
+    """The series part of log Gamma(z + a) - log Gamma(z), z >= ``_DIRECT``."""
+    return sum(c * ((z + a) ** (1 - 2 * j) - z ** (1 - 2 * j))
+               for j, c in enumerate(_STIRLING, start=1))
+
+
+def _log_miss(c: np.ndarray, g: float, m: int) -> np.ndarray:
+    """log [(c - g)_m / (c)_m] for arrays c >= g, with relative accuracy
+    even within 10^-13 of zero: log1p terms for the first ``_DIRECT``
+    factors, then the difference of two Stirling forms taken analytically,
+    three log1p terms of the result's size.  c = g gives -inf."""
+    head = min(m, _DIRECT)
+    with np.errstate(divide="ignore"):
+        out = np.log1p(-g / (c + np.arange(head)[:, None])).sum(axis=0)
+    if m > head:
+        x, a = c + head, m - head
+        y = x - g
+        out += ((x - 0.5) * np.log1p(g * a / (y * (x + a))) - g * np.log1p(a / y)
+                + a * np.log1p(-g / (x + a)) + _stirling_gap(y, a) - _stirling_gap(x, a))
+    return out
+
+
+def _log_sum_rows(x: np.ndarray) -> np.ndarray:
+    """log sum exp along each row of a 2-D array with a finite entry per row."""
+    peak = x.max(axis=1, keepdims=True)
+    return peak[:, 0] + np.log(np.exp(x - peak).sum(axis=1))
+
+
+def _log_v_ratios(vc: VCoefficients, n1: int, n2: int, r: int,
+                  m1: int, m2: int, kmax: int) -> np.ndarray:
+    """log [V^{r+k}_{n1+m1,n2+m2} / V^r_{n1,n2}] for k = 0..kmax, as
+    expectations over the posterior of the unseen count M* (the V series
+    read as mixtures over the pool size, Gnedin & Pitman 2006):
+
+        E[(M*)_{k fall} / prod_j (g_j (r + M*) + n_j)_{m_j} | n1, n2, r]
+
+    No two logs of V (up to 10^7 in size) are subtracted.  Each ratio is
+    the weighted sum over the weights' own sum, taken the same way, so
+    k = 0 at m1 = m2 = 0 gives exactly 0; past the window's largest M* the
+    entries are -inf.  An entry's error is absolute, bounded by the
+    posterior mass left out past the window: at k near m1 + m2 on a short
+    window, where (M*)_{k fall} weighs that tail most, a tiny entry can
+    lose much of its relative accuracy.  The (k, M*) matrix is reduced on
+    blocks of about ``_LATTICE_BLOCK`` cells.
+    """
+    m_star, lw = _posterior(vc, n1, n2, r)
+    tilted = lw.copy()
+    for g, n, m in ((vc.params.gamma1, n1, m1), (vc.params.gamma2, n2, m2)):
+        if m:
+            # (C)_m relative to its value at the window's first M*; never a
+            # gammaln difference, which is off by 2e-9 at C = 10^6
+            c = g * (r + m_star) + n
+            tilted += _log_miss(c, c - c[0], m) - math.fsum(np.log(c[0] + np.arange(m)))
+    top = min(kmax, int(m_star[-1]))
+    out = np.full(kmax + 1, LOG_ZERO)
+    step = max(1, _LATTICE_BLOCK // m_star.size)
+    fall = np.zeros(m_star.size)  # log (M*)_{k fall} at the row before a block
+    with np.errstate(divide="ignore"):
+        log_den = _log_sum_rows(lw[None, :])[0]
+        for lo in range(0, top + 1, step):
+            k = np.arange(lo, min(lo + step, top + 1))[:, None]
+            cells = np.log(np.maximum(m_star - k + 1.0, 0.0))  # log (M* - k + 1)
+            if lo == 0:
+                cells[0] = 0.0  # (M*)_{0 fall} = 1
+            cells[0] += fall
+            np.cumsum(cells, axis=0, out=cells)  # row k: log (M*)_{k fall}
+            fall = cells[-1].copy()
+            cells += tilted
+            out[lo:lo + k.size] = _log_sum_rows(cells) - log_den
+    return out
 
 
 def posterior_m_mean(vc: VCoefficients, state: ObservedState) -> float:
     """E(M* | data) = V^{r+1}_{n1,n2} / V^r_{n1,n2}."""
-    return math.exp(vc.log_v(state.n1, state.n2, state.r + 1)
-                    - vc.log_v(state.n1, state.n2, state.r))
+    return math.exp(_log_v_ratios(vc, state.n1, state.n2, state.r, 0, 0, 1)[1])
 
 
 def _log_inner_sum(k: int, k1: int, k2: int, r1_star: int, r2_star: int) -> float:
@@ -157,10 +234,9 @@ def posterior_joint_new(vc: VCoefficients, state: ObservedState,
     if m1 < 0 or m2 < 0:
         raise DomainError("future sample sizes must be >= 0")
     g1, g2 = vc.params.gamma1, vc.params.gamma2
-    row1 = log_noncentral_row(m1, g1, _rho(state, g1, 1))
-    row2 = log_noncentral_row(m2, g2, _rho(state, g2, 2))
-    log_v_obs = vc.log_v(state.n1, state.n2, state.r)
-    n1m, n2m = state.n1 + m1, state.n2 + m2
+    row1 = log_noncentral_row(m1, g1, g1 * state.r1 + state.n1)
+    row2 = log_noncentral_row(m2, g2, g2 * state.r2 + state.n2)
+    lr = _log_v_ratios(vc, state.n1, state.n2, state.r, m1, m2, m1 + m2)
     entries = {}
     for k1 in range(0, m1 + 1):
         for k2 in range(0, m2 + 1):
@@ -171,9 +247,7 @@ def posterior_joint_new(vc: VCoefficients, state: ObservedState,
                 inner = _log_inner_sum(k, k1, k2, state.r1_star, state.r2_star)
                 if inner == LOG_ZERO:
                     continue
-                lp = (vc.log_v(n1m, n2m, state.r + k) - log_v_obs
-                      + base + inner)
-                entries[(k, k1, k2)] = lp
+                entries[(k, k1, k2)] = lr[k] + base + inner
     return PmfTable(entries)
 
 
@@ -192,15 +266,12 @@ def posterior_marginal_global_new(vc: VCoefficients, state: ObservedState,
     if m1 < 0 or m2 < 0:
         raise DomainError("future sample sizes must be >= 0")
     g1, g2 = vc.params.gamma1, vc.params.gamma2
-    rho1 = g1 * state.r + state.n1
-    rho2 = g2 * state.r + state.n2
-    row1 = log_noncentral_row(m1, g1, rho1)
-    row2 = log_noncentral_row(m2, g2, rho2)
-    log_v_obs = vc.log_v(state.n1, state.n2, state.r)
-    n1m, n2m = state.n1 + m1, state.n2 + m2
+    row1 = log_noncentral_row(m1, g1, g1 * state.r + state.n1)
+    row2 = log_noncentral_row(m2, g2, g2 * state.r + state.n2)
+    lr = _log_v_ratios(vc, state.n1, state.n2, state.r, m1, m2, m1 + m2)
     lf = gammaln(np.arange(m1 + m2 + 2, dtype=float))  # lf[i] = log (i-1)!
     entries = {}
-    for k in range(0, m1 + m2 + 1):
+    for k in np.flatnonzero(lr > LOG_ZERO).tolist():
         # term(k1*, k2*) with s* = k - k1* - k2* >= 0; group j gains
         # i_j = k - k_{j'}* species, so the grid separates into a row
         # factor in k1*, a column factor in k2*, and the s*! coupling.
@@ -214,7 +285,7 @@ def posterior_marginal_global_new(vc: VCoefficients, state: ObservedState,
         grid[s_grid < 0] = LOG_ZERO
         lse = log_sum_exp(grid.ravel())
         if lse > LOG_ZERO:
-            entries[k] = vc.log_v(n1m, n2m, state.r + k) - log_v_obs + lse
+            entries[k] = lr[k] + lse
     return PmfTable(entries)
 
 
@@ -235,12 +306,9 @@ def posterior_local_new(vc: VCoefficients, state: ObservedState, m: int,
     n_j = state.n1 if group == 1 else state.n2
     r_j = state.r1 if group == 1 else state.r2
     row = log_noncentral_row(m, gamma, gamma * r_j + n_j)
-    log_v_obs = vc.log_v_single(n_j, r_j, group)
-    entries = {
-        k: vc.log_v_single(n_j + m, r_j + k, group) - log_v_obs + row[k]
-        for k in range(0, m + 1)
-    }
-    return PmfTable(entries)
+    sizes = (n_j, 0, r_j, m, 0) if group == 1 else (0, n_j, r_j, 0, m)
+    lr = _log_v_ratios(vc, *sizes, m)
+    return PmfTable.from_arrays(np.arange(m + 1), lr + row)
 
 
 def shared_coverage_prob(vc: VCoefficients, state: ObservedState,
@@ -251,24 +319,25 @@ def shared_coverage_prob(vc: VCoefficients, state: ObservedState,
     P(S = 0) = sum_{k1, k2} (V^{r+k1+k2}_{n1+m1,n2+m2} / V^r_{n1,n2})
                prod_j |C(m_j, k_j; -g_j, -(g_j r_j + n_j))|
 
-    The V coefficients depend on the lattice cell only through its
-    anti-diagonal k1 + k2, so they come from one batched evaluation over
-    r .. r + m1 + m2.  The lattice is then summed in log space on blocks of
-    about ``_LATTICE_BLOCK`` cells: O(m1 m2) time, O(m1 + m2) memory.
+    The V ratios depend on the cell only through k1 + k2 and vanish past
+    the posterior window's largest M*, so one :func:`_log_v_ratios` call
+    serves the cells up to it, summed in log space on blocks of about
+    ``_LATTICE_BLOCK`` cells: O(m1 m2) time at most, O(m1 + m2) memory.
+    Where no new shared species can appear the sum is exactly one, and
+    rounding can lift it a few dozen ulps above; it is capped at one.
     """
     g1, g2 = vc.params.gamma1, vc.params.gamma2
-    row1 = log_noncentral_row(m1, g1, _rho(state, g1, 1))
-    row2 = log_noncentral_row(m2, g2, _rho(state, g2, 2))
-    lv = vc.log_v_many(state.n1 + m1, state.n2 + m2,
-                       state.r + np.arange(m1 + m2 + 1))
-    log_v_obs = vc.log_v(state.n1, state.n2, state.r)
-    k2 = np.arange(m2 + 1)
-    step = max(1, _LATTICE_BLOCK // (m2 + 1))
+    row1 = log_noncentral_row(m1, g1, g1 * state.r1 + state.n1)
+    row2 = log_noncentral_row(m2, g2, g2 * state.r2 + state.n2)
+    lr = _log_v_ratios(vc, state.n1, state.n2, state.r, m1, m2, m1 + m2)
+    top = int(np.count_nonzero(lr > LOG_ZERO)) - 1
+    k2 = np.arange(min(m2, top) + 1)
+    step = max(1, _LATTICE_BLOCK // k2.size)
     parts = []
-    for lo in range(0, m1 + 1, step):
-        k1 = np.arange(lo, min(lo + step, m1 + 1))[:, None]
-        parts.append(log_sum_exp(row1[k1] + row2 + lv[k1 + k2]))
-    return math.exp(log_sum_exp(parts) - log_v_obs)
+    for lo in range(0, min(m1, top) + 1, step):
+        k1 = np.arange(lo, min(lo + step, m1 + 1, top + 1))[:, None]
+        parts.append(log_sum_exp(row1[k1] + row2[k2] + lr[k1 + k2]))
+    return min(1.0, math.exp(log_sum_exp(parts)))
 
 
 def one_step_shared_pmf(vc: VCoefficients, state: ObservedState) -> PmfTable:
@@ -288,15 +357,12 @@ def one_step_shared_pmf(vc: VCoefficients, state: ObservedState) -> PmfTable:
     """
     g1, g2 = vc.params.gamma1, vc.params.gamma2
     n1, n2, r = state.n1, state.n2, state.r
-    w1 = g1 * state.r1 + n1
-    w2 = g2 * state.r2 + n2
+    w1, w2 = g1 * state.r1 + n1, g2 * state.r2 + n2
     r1s, r2s = state.r1_star, state.r2_star
-    log_v_obs = vc.log_v(n1, n2, r)
-    lv = {i: vc.log_v(n1 + 1, n2 + 1, r + i) for i in (0, 1, 2)}
+    lr = _log_v_ratios(vc, n1, n2, r, 1, 1, 2)
 
     def bundle(pairs):
-        terms = [lv[i] + math.log(c) for i, c in pairs if c > 0.0]
-        return log_sum_exp(terms) - log_v_obs
+        return log_sum_exp([lr[i] + math.log(c) for i, c in pairs if c > 0.0])
 
     entries = {
         0: bundle([(0, w1 * w2), (1, g1 * w2 + g2 * w1), (2, g1 * g2)]),
@@ -309,8 +375,9 @@ def one_step_shared_pmf(vc: VCoefficients, state: ObservedState) -> PmfTable:
 
 def one_step_discovery_prob(vc: VCoefficients, state: ObservedState) -> float:
     """Probability of discovering at least one new shared species in the
-    next pair of observations; complements the s = 0 coverage mass."""
-    return 1.0 - one_step_shared_pmf(vc, state).prob(0)
+    next pair of observations: P(1) + P(2), as 1 - P(0) can go negative."""
+    pmf = one_step_shared_pmf(vc, state)
+    return pmf.prob(1) + pmf.prob(2)
 
 
 def shared_pmf(vc: VCoefficients, state: ObservedState,
@@ -322,58 +389,28 @@ def shared_pmf(vc: VCoefficients, state: ObservedState,
 
 def expected_new(vc: VCoefficients, state: ObservedState,
                  m1: int, m2: int) -> ExpectedNew:
-    """Expected numbers of new (k1, k2, k, s) species in (m1, m2).
+    """Expected numbers of new (k1, k2, k, s) species in (m1, m2), at any
+    future size, conditioning on both groups' data.
 
-    For m1 + m2 <= 12 the means of the joint law are summed; beyond that
-    its O(m^5) cost is too high, and the moment route conditions on the
-    unseen-species count and sums per-species appearance probabilities over
-    the posterior's support, at any future size.  The switch is also about
-    precision: at large rates the moment route loses digits in its
-    ``gammaln`` differences (on the ants table at lam = 1e3, m = (3, 4),
-    relative error 1e-9 against 3e-12 for the joint route).  Either way
-    s = k1 + k2 - k holds by construction, and both routes condition on
-    both groups' data.
+    Given the unseen count M*, every species with a zero count in group j
+    has group-j proportion Beta(g_j, C_j - g_j) with
+    C_j = g_j (r + M*) + n_j, so it stays unseen through m_j further draws
+    with probability beta_j = (C_j - g_j)_{m_j} / (C_j)_{m_j}.  The counts
+    sum the appearance probabilities 1 - beta_j = -expm1(log beta_j) over
+    the group-exclusive species and the unseen pool (a brand-new species is
+    shared when it appears in both futures: the proportions are independent
+    given the pool size), as arrays over the posterior's window.
+    s = k1 + k2 - k holds by construction.
     """
-    if m1 + m2 > 12:
-        return _expected_new_moments(vc, state, m1, m2)
-    joint = posterior_joint_new(vc, state, m1, m2)
-    e_k = joint.mean(0)
-    e_k1 = joint.mean(1)
-    e_k2 = joint.mean(2)
-    return ExpectedNew(k1=e_k1, k2=e_k2, k=e_k, s=e_k1 + e_k2 - e_k)
-
-
-def _expected_new_moments(vc: VCoefficients, state: ObservedState,
-                          m1: int, m2: int) -> ExpectedNew:
-    """Exact expectations via the posterior representation.
-
-    Given the unseen-species count, every species with a zero count in
-    group j has group-j proportion Beta(g_j, C_j - g_j) with
-    C_j = g_j (r + m*) + n_j, so it stays unseen through m_j further draws
-    with probability beta_j = (C_j - g_j)_{m_j} / (C_j)_{m_j}.  Expected
-    counts follow by summing these appearance probabilities over the
-    group-exclusive species and the unseen pool (a brand-new species is
-    shared exactly when it appears in both futures: the proportions are
-    independent across groups given the pool size).  All sums run over the
-    posterior's support as arrays.
-    """
-    pmf = posterior_m_pmf(vc, state)
-    m_star = pmf.keys.astype(float)
-    q = np.exp(pmf.log_mass)
-
-    def miss(gamma, n, m):
-        if m == 0:
-            return 1.0
-        c = gamma * (state.r + m_star) + n
-        # C_j - g_j = 0 (an empty group, r = 1, m* = 0) gives gammaln = inf
-        # and beta_j = 0: the one species' proportion is fixed at one
-        return np.exp((gammaln(c - gamma + m) - gammaln(c - gamma))
-                      - (gammaln(c + m) - gammaln(c)))
-
-    miss1, miss2 = miss(vc.params.gamma1, state.n1, m1), miss(vc.params.gamma2, state.n2, m2)
-    e_k1 = float(np.sum(q * (state.r2_star + m_star) * (1.0 - miss1)))
-    e_k2 = float(np.sum(q * (state.r1_star + m_star) * (1.0 - miss2)))
-    e_k = float(np.sum(q * m_star * (1.0 - miss1 * miss2)))
+    m_star, lw = _posterior(vc, state.n1, state.n2, state.r)
+    q = np.exp(lw)
+    q /= q.sum()
+    g1, g2 = vc.params.gamma1, vc.params.gamma2
+    miss1 = _log_miss(g1 * (state.r + m_star) + state.n1, g1, m1)
+    miss2 = _log_miss(g2 * (state.r + m_star) + state.n2, g2, m2)
+    e_k1 = float(np.sum(q * (state.r2_star + m_star) * -np.expm1(miss1)))
+    e_k2 = float(np.sum(q * (state.r1_star + m_star) * -np.expm1(miss2)))
+    e_k = float(np.sum(q * m_star * -np.expm1(miss1 + miss2)))
     return ExpectedNew(k1=e_k1, k2=e_k2, k=e_k, s=e_k1 + e_k2 - e_k)
 
 
@@ -383,8 +420,8 @@ class PairProbs:
     group, classified as (old, new) x (old, new).
 
     ``normalizer_ratio`` is the unnormalized cell total divided by
-    V^r_{n1,n2}; it should be 1 up to series truncation, and is surfaced
-    as a diagnostic of that identity rather than assumed.
+    V^r_{n1,n2}: 1 by construction, since the cells' integrands over the
+    posterior of M* sum to one for every M*; it checks rounding only.
     """
 
     old_old: float
@@ -409,22 +446,21 @@ def predictive_pair_probs(vc: VCoefficients, state: ObservedState) -> PairProbs:
         (old, new) -> V'^{r+1} q1old q2new
         (new, new) -> (V'^{r+1} + V'^{r+2}) q1new q2new
 
-    with V' at (n1+1, n2+1), normalized by the cells' total.
+    with V' ratios at (n1+1, n2+1), normalized by the cells' total.
     """
     g1, g2 = vc.params.gamma1, vc.params.gamma2
     n1, n2, r = state.n1, state.n2, state.r
     q1_old, q2_old = n1 + g1 * r, n2 + g2 * r
-    lv = {i: vc.log_v(n1 + 1, n2 + 1, r + i) for i in (0, 1, 2)}
+    lr = _log_v_ratios(vc, n1, n2, r, 1, 1, 2)
     cells = {
-        "old_old": lv[0] + math.log(q1_old * q2_old),
-        "new_old": lv[1] + math.log(g1 * q2_old),
-        "old_new": lv[1] + math.log(q1_old * g2),
-        "new_new": log_add(lv[1], lv[2]) + math.log(g1 * g2),
+        "old_old": lr[0] + math.log(q1_old * q2_old),
+        "new_old": lr[1] + math.log(g1 * q2_old),
+        "old_new": lr[1] + math.log(q1_old * g2),
+        "new_new": float(np.logaddexp(lr[1], lr[2])) + math.log(g1 * g2),
     }
     log_total = log_sum_exp(cells.values())
-    ratio = math.exp(log_total - vc.log_v(n1, n2, r))
     probs = {name: math.exp(lp - log_total) for name, lp in cells.items()}
-    return PairProbs(normalizer_ratio=ratio, **probs)
+    return PairProbs(normalizer_ratio=math.exp(log_total), **probs)
 
 
 def extrapolation_curves(vc: VCoefficients, state: ObservedState,

@@ -10,9 +10,9 @@ The series converges for every pmf q_M.  It is summed on numpy blocks by
 the package's one series kernel, :func:`vecfdp.mprior.log_series`, whose
 adaptive truncation is validated by cap-doubling invariance, a recurrence
 identity, a large-sample asymptotic expansion and mpmath oracles.
-:func:`log_v` sums one coefficient; :func:`log_v_many` sums a run of r at
-fixed sizes as one batch of that kernel, with the same stopping rule and
-the same values.
+:func:`log_v` sums one coefficient, or hands back its whole series;
+:func:`log_v_many` sums a run of r at fixed sizes as one batch of that
+kernel, with the same stopping rule and the same values.
 """
 
 from __future__ import annotations
@@ -96,9 +96,11 @@ def _v_rows(n1: int, n2: int, rs: np.ndarray, params: ModelParams, *,
                       tol=tol, max_terms=max_terms)
 
 
-def v_series(n1: int, n2: int, r: int, params: ModelParams, *,
-             tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS):
-    """The series of V^r_{n1,n2}: (log total, m, log terms).
+def log_v(n1: int, n2: int, r: int, params: ModelParams, *,
+          tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS,
+          series: bool = False):
+    """log V^r_{n1,n2}; with ``series``, the whole series: (log total, m,
+    log terms).
 
     Summed by :func:`vecfdp.mprior.log_series` from m = max(r, 1), with the
     prior's mode plus r as guard: the general term decays monotonically
@@ -107,14 +109,10 @@ def v_series(n1: int, n2: int, r: int, params: ModelParams, *,
     """
     total, count, terms = _v_rows(n1, n2, np.array([r], dtype=np.int64), params,
                                   tol=tol, max_terms=max_terms)
+    if not series:
+        return float(total[0])
     n = int(count[0])
     return float(total[0]), max(r, 1) + np.arange(n), terms[0, :n]
-
-
-def log_v(n1: int, n2: int, r: int, params: ModelParams, *,
-          tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS) -> float:
-    """log V^r_{n1,n2}: the log total of :func:`v_series`."""
-    return v_series(n1, n2, r, params, tol=tol, max_terms=max_terms)[0]
 
 
 def log_v_many(n1: int, n2: int, rs, params: ModelParams, *,
@@ -147,8 +145,11 @@ def log_v_single(n: int, r: int, gamma: float, prior: MPrior, *,
 class VCoefficients:
     """Memoizing evaluator of log V for one fixed parameter triple.
 
-    Values for single-group reductions are served from the same cache (keys
-    with one size equal to zero).  Insertion is idempotent, so concurrent
+    One cache, keyed (n1, n2, r), holds the whole series of a key summed on
+    its own (the predictive laws read it as the posterior of the unseen
+    species count) and the bare total of a key summed in a
+    :meth:`log_v_many` batch.  A single-group coefficient is the key with
+    the other size zero.  Insertion is idempotent, so concurrent
     recomputation of a key is harmless.
     """
 
@@ -157,36 +158,41 @@ class VCoefficients:
         self.params = params
         self.tol = tol
         self.max_terms = max_terms
-        self._cache: dict[tuple[int, int, int], float] = {}
+        #: (log total, m, log terms); m and terms are None for a batch total
+        self._cache: dict[tuple[int, int, int], tuple] = {}
+
+    def _sum(self, n1: int, n2: int, r: int) -> tuple:
+        total, m, terms = log_v(n1, n2, r, self.params, tol=self.tol,
+                                max_terms=self.max_terms, series=True)
+        m.flags.writeable = terms.flags.writeable = False
+        self._cache[n1, n2, r] = entry = (total, m, terms)
+        return entry
 
     def log_v(self, n1: int, n2: int, r: int) -> float:
-        key = (n1, n2, r)
-        value = self._cache.get(key)
-        if value is None:
-            value = log_v(n1, n2, r, self.params,
-                          tol=self.tol, max_terms=self.max_terms)
-            self._cache[key] = value
-        return value
+        entry = self._cache.get((n1, n2, r))
+        if entry is None:
+            entry = self._sum(n1, n2, r)
+        return entry[0]
+
+    def v_series(self, n1: int, n2: int, r: int) -> tuple:
+        """The series of V^r_{n1,n2}, (log total, m, log terms), looked up
+        through :meth:`log_v`; the arrays are read-only."""
+        self.log_v(n1, n2, r)
+        entry = self._cache[n1, n2, r]
+        return entry if entry[1] is not None else self._sum(n1, n2, r)
 
     def log_v_many(self, n1: int, n2: int, rs) -> np.ndarray:
         """log V^r_{n1,n2} for every r in ``rs``; the keys not cached yet are
         evaluated in one :func:`log_v_many` batch and cached."""
         rs = np.asarray(rs, dtype=np.int64).ravel()
-        out = np.array([self._cache.get((n1, n2, r), np.nan) for r in rs.tolist()])
+        out = np.array([self._cache.get((n1, n2, r), (np.nan,))[0] for r in rs.tolist()])
         missing = np.isnan(out)
         if missing.any():
             out[missing] = log_v_many(n1, n2, rs[missing], self.params,
                                       tol=self.tol, max_terms=self.max_terms)
-            self._cache.update(zip([(n1, n2, r) for r in rs[missing].tolist()],
-                                   out[missing].tolist()))
+            self._cache.update(((n1, n2, r), (total, None, None)) for r, total
+                               in zip(rs[missing].tolist(), out[missing].tolist()))
         return out
-
-    def log_v_single(self, n: int, r: int, group: int = 1) -> float:
-        if group == 1:
-            return self.log_v(n, 0, r)
-        if group == 2:
-            return self.log_v(0, n, r)
-        raise DomainError(f"group must be 1 or 2, got {group}")
 
     def check_recurrence(self, n1: int, n2: int, r: int) -> float:
         """Relative residual of the one-step-in-each-group recurrence.

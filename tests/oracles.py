@@ -2,13 +2,13 @@
 
 Each is a slower, independent route to a quantity the package computes
 another way: non-central GFC values by the binomial convolution over a
-central table, the coverage probability by a Python loop over every lattice
-cell with one cached V lookup per cell, the moment route of the expected
-new-species counts by a loop over the posterior support and by the same
-sum in mpmath arithmetic, and the in-sample laws by scalar loops: the joint
-cell by cell, the global law by the double sum over the missing-species
-counts and the (global, shared) law by the sum over the group-exclusive
-count.
+central table, the coverage probability by a Python loop over every
+lattice cell with one cached V lookup per cell, the moment route of the
+expected new-species counts by a loop over the posterior support in scalar
+arithmetic and by the same sum in mpmath arithmetic, and the in-sample
+laws by scalar loops: the joint cell by cell, the global law by the double
+sum over the missing-species counts and the (global, shared) law by the
+sum over the group-exclusive count.
 """
 
 from __future__ import annotations
@@ -16,9 +16,10 @@ from __future__ import annotations
 import math
 
 import mpmath
+import numpy as np
 from scipy.special import logsumexp
 
-from vecfdp.gfc import build_central_table
+from vecfdp.gfc import build_central_table, log_noncentral_row
 from vecfdp.logmath import (
     LOG_ZERO,
     DomainError,
@@ -28,8 +29,14 @@ from vecfdp.logmath import (
     log_sum_exp,
 )
 from vecfdp.pmftable import PmfTable
-from vecfdp.prediction import ExpectedNew, ObservedState, posterior_m_pmf
-from vecfdp.vcoef import VCoefficients
+from vecfdp.prediction import (
+    _DIRECT,
+    _STIRLING,
+    ExpectedNew,
+    ObservedState,
+    _log_v_ratios,
+)
+from vecfdp.vcoef import VCoefficients, log_v
 
 
 def _log_rising(rho: float, n: int) -> float:
@@ -73,23 +80,62 @@ def lattice_coverage_prob(vc: VCoefficients, state: ObservedState,
     return math.exp(log_sum_exp(terms) - log_v_obs)
 
 
+def uncapped_coverage_prob(vc: VCoefficients, state: ObservedState,
+                           m1: int, m2: int) -> float:
+    """The coverage lattice's sum before ``shared_coverage_prob`` caps it
+    at one: every cell at once, from the same rows and V ratios."""
+    g1, g2 = vc.params.gamma1, vc.params.gamma2
+    row1 = log_noncentral_row(m1, g1, g1 * state.r1 + state.n1)
+    row2 = log_noncentral_row(m2, g2, g2 * state.r2 + state.n2)
+    lr = _log_v_ratios(vc, state.n1, state.n2, state.r, m1, m2, m1 + m2)
+    k1, k2 = np.ogrid[:m1 + 1, :m2 + 1]
+    return math.exp(log_sum_exp((row1[k1] + row2[k2] + lr[k1 + k2]).ravel()))
+
+
+def _log_miss(c: float, g: float, m: int) -> float:
+    """log [(c - g)_m / (c)_m] in scalar arithmetic, as
+    ``prediction._log_miss`` takes it: log1p terms for the first
+    ``_DIRECT`` factors, then the difference of two Stirling forms."""
+    head = min(m, _DIRECT)
+    out = 0.0
+    for i in range(head):
+        if g == c + i:
+            return LOG_ZERO
+        out += math.log1p(-g / (c + i))
+    if m > head:
+        x, a = c + head, m - head
+        y = x - g
+        gap = sum(cj * (((y + a) ** (1 - 2 * j) - y ** (1 - 2 * j))
+                        - ((x + a) ** (1 - 2 * j) - x ** (1 - 2 * j)))
+                  for j, cj in enumerate(_STIRLING, start=1))
+        out += ((x - 0.5) * math.log1p(g * a / (y * (x + a))) - g * math.log1p(a / y)
+                + a * math.log1p(-g / (x + a)) + gap)
+    return out
+
+
 def expected_new_moments_loop(vc: VCoefficients, state: ObservedState,
                               m1: int, m2: int) -> ExpectedNew:
-    """The moment route of ``expected_new``, one posterior entry at a time."""
-    pmf = posterior_m_pmf(vc, state)
+    """The moment route of ``expected_new``, one posterior entry at a time:
+    the same weights (the terms of the V series, shifted by their peak and
+    normalized in linear space) and the same appearance probabilities,
+    -expm1 of a log miss probability."""
+    _, ms, terms = log_v(state.n1, state.n2, state.r, vc.params,
+                         tol=vc.tol, max_terms=vc.max_terms, series=True)
+    peak = float(terms.max())
+    weights = [(int(m) - state.r, math.exp(t - peak))
+               for m, t in zip(ms.tolist(), terms.tolist())]
+    total = math.fsum(w for _, w in weights)
     g1, g2 = vc.params.gamma1, vc.params.gamma2
     e_k1 = e_k2 = e_k = 0.0
-    for m_star, lp in pmf.entries.items():
-        q = math.exp(lp)
-        c1 = g1 * (state.r + m_star) + state.n1
-        c2 = g2 * (state.r + m_star) + state.n2
-        miss1 = math.exp(log_pochhammer(c1 - g1, m1) - log_pochhammer(c1, m1)) \
-            if m1 > 0 else 1.0
-        miss2 = math.exp(log_pochhammer(c2 - g2, m2) - log_pochhammer(c2, m2)) \
-            if m2 > 0 else 1.0
-        e_k1 += q * (state.r2_star + m_star) * (1.0 - miss1)
-        e_k2 += q * (state.r1_star + m_star) * (1.0 - miss2)
-        e_k += q * m_star * (1.0 - miss1 * miss2)
+    for m_star, w in weights:
+        if w == 0.0:
+            continue
+        q = w / total
+        miss1 = _log_miss(g1 * (state.r + m_star) + state.n1, g1, m1)
+        miss2 = _log_miss(g2 * (state.r + m_star) + state.n2, g2, m2)
+        e_k1 += q * (state.r2_star + m_star) * -math.expm1(miss1)
+        e_k2 += q * (state.r1_star + m_star) * -math.expm1(miss2)
+        e_k += q * m_star * -math.expm1(miss1 + miss2)
     return ExpectedNew(k1=e_k1, k2=e_k2, k=e_k, s=e_k1 + e_k2 - e_k)
 
 

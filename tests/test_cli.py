@@ -13,13 +13,16 @@ from vecfdp.abundance import ants_csv_path, write_csv
 from vecfdp.cli import build_parser, main
 from vecfdp.logmath import log_sum_exp
 from vecfdp.mprior import OneShiftedPoisson
+from vecfdp.prediction import ObservedState
 from vecfdp.simulate import draw_sample, generate_population
 from vecfdp.vcoef import ModelParams, VCoefficients
 
 from oracles import (
+    expected_new_moments_mp,
     prior_joint_global_shared_loop,
     prior_joint_loop,
     prior_marginal_global_loop,
+    uncapped_coverage_prob,
 )
 
 
@@ -28,6 +31,16 @@ def toy_csv(tmp_path):
     path = tmp_path / "toy.csv"
     path.write_text("species,count_1,count_2\n"
                     "a,8,6\nb,5,0\nc,3,4\nd,1,2\ne,0,5\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def two_species_csv(tmp_path_factory):
+    # two species, each seen 10^6 times in one group and once in the other:
+    # |log V| is about 1.4e7 here, so one ulp of it is 2e-9
+    path = tmp_path_factory.mktemp("two_species") / "two_species.csv"
+    path.write_text("species,count_1,count_2\na,1000000,1\nb,1,1000000\n",
+                    encoding="utf-8")
     return str(path)
 
 
@@ -350,6 +363,64 @@ def test_predict_large_future_small_memory():
         "out = io.StringIO()\n"
         "with contextlib.redirect_stdout(out):\n"
         "    code = main(['predict', str(ants_csv_path()), '--m1', '3000', '--m2', '3000'])\n"
+        "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(json.dumps({'code': code, 'rss_kb': rss,\n"
+        "                  'coverage': json.loads(out.getvalue())['coverage_prob']['value']}))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], check=True,
+                          capture_output=True, text=True, cwd=src, timeout=300)
+    result = json.loads(done.stdout)
+    assert result["code"] == 0
+    assert 0.0 < result["coverage"] < 1.0
+    assert result["rss_kb"] < 250 * 1024
+
+
+@pytest.mark.parametrize("gamma", ["1", "0.01"])
+@pytest.mark.parametrize("m", [10, 100])
+def test_predict_two_species_table(capsys, two_species_csv, gamma, m):
+    code, out, err = run(capsys, "predict", two_species_csv, "--lam", "1e3",
+                         "--gamma1", gamma, "--gamma2", gamma,
+                         "--m1", str(m), "--m2", str(m))
+    assert code == 0, err
+    report = json.loads(out)
+    assert 0.0 <= report["coverage_prob"]["value"] <= 1.0
+    state = ObservedState(n1=10**6 + 1, n2=10**6 + 1, r1=2, r2=2, r=2)
+    params = ModelParams(float(gamma), float(gamma), OneShiftedPoisson(1e3))
+    # ratios taken as differences of two logs of V lifted the sum to
+    # 1 + 3.7e-9 at gamma = 1, m = 10
+    assert uncapped_coverage_prob(VCoefficients(params), state, m, m) <= 1.0 + 1e-13
+    want = expected_new_moments_mp(state, params, m, m)
+    for key in ("k", "k1", "k2"):
+        assert report["expected_new"][key] >= 0.0
+        assert report["expected_new"][key] == pytest.approx(getattr(want, key), rel=1e-8)
+
+
+@pytest.mark.parametrize("gamma", ["1", "0.01"])
+def test_discover_two_species_table(capsys, two_species_csv, gamma):
+    # the discovery probability is about 6e-21 at gamma = 1, far below the
+    # rounding of 1 - P(0)
+    code, out, err = run(capsys, "discover", two_species_csv, "--lam", "1e3",
+                         "--gamma1", gamma, "--gamma2", gamma)
+    assert code == 0, err
+    report = json.loads(out)
+    pmf = [report["one_step_shared_pmf"][s]["value"] for s in "012"]
+    assert all(0.0 <= p <= 1.0 for p in pmf)
+    assert report["discovery_prob"]["value"] >= 0.0
+    assert sum(pmf) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_predict_long_window_small_memory():
+    # at lam = 3e4 the posterior window holds about 3*10^4 entries: the
+    # (k, M*) matrix of a 1000 x 1000 future, unblocked, would take 480 MB
+    src = str(Path(vecfdp.__file__).resolve().parents[1])
+    probe = (
+        "import contextlib, io, json, resource\n"
+        "from vecfdp.abundance import ants_csv_path\n"
+        "from vecfdp.cli import main\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    code = main(['predict', str(ants_csv_path()), '--lam', '3e4', '--gamma1', '0.5',\n"
+        "                 '--gamma2', '2', '--m1', '1000', '--m2', '1000'])\n"
         "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         "print(json.dumps({'code': code, 'rss_kb': rss,\n"
         "                  'coverage': json.loads(out.getvalue())['coverage_prob']['value']}))\n"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vecfdp.logmath import LOG_ZERO, log_add
+from vecfdp.logmath import LOG_ZERO
 from vecfdp.pmftable import PmfTable, shared_marginal
 
 
@@ -12,7 +12,7 @@ def dict_group(entries: dict, fn) -> dict:
     acc: dict = {}
     for key, lp in entries.items():
         new = fn(key)
-        acc[new] = lp if new not in acc else log_add(acc[new], lp)
+        acc[new] = lp if new not in acc else float(np.logaddexp(acc[new], lp))
     return acc
 
 

@@ -9,7 +9,7 @@ from vecfdp.estimation import fit_all
 from vecfdp.gfc import log_noncentral_row
 from vecfdp.logmath import LOG_ZERO, DomainError, log_pochhammer
 from vecfdp.mprior import OneShiftedPoisson, PointMass
-from vecfdp.vcoef import ModelParams, VCoefficients, v_series
+from vecfdp.vcoef import ModelParams, VCoefficients, log_v
 
 from oracles import (
     expected_new_moments_loop,
@@ -78,7 +78,7 @@ def test_posterior_m_normalization_and_mean(vc):
     pmf = pred.posterior_m_pmf(vc, state)
     assert pmf.total_mass() == pytest.approx(1.0, abs=1e-10)
     # the V series' window and terms, as arrays
-    log_norm, m, terms = v_series(5, 5, 3, vc.params)
+    log_norm, m, terms = log_v(5, 5, 3, vc.params, series=True)
     assert pmf.keys.tolist() == (m - 3).tolist()
     assert pmf.log_mass.tolist() == (terms - log_norm).tolist()
     assert len(pmf.entries) == len(pmf)
@@ -181,8 +181,8 @@ def test_local_new_normalization_and_one_step_value(vc):
         local = pred.posterior_local_new(vc, STATE, m, 1)
         assert local.total_mass() == pytest.approx(1.0, abs=1e-10)
     local = pred.posterior_local_new(vc, STATE, 1, 1)
-    expected = math.exp(vc.log_v_single(STATE.n1 + 1, STATE.r1 + 1, 1)
-                        - vc.log_v_single(STATE.n1, STATE.r1, 1)) * PARAMS.gamma1
+    expected = math.exp(vc.log_v(STATE.n1 + 1, 0, STATE.r1 + 1)
+                        - vc.log_v(STATE.n1, 0, STATE.r1)) * PARAMS.gamma1
     assert local.prob(1) == pytest.approx(expected, rel=1e-12)
 
 
@@ -301,23 +301,30 @@ def test_expected_new_linearity_and_zero_query(vc):
 
 
 def test_expected_new_moment_route_matches_joint(vc):
-    # small futures take the joint route; the loop oracle is the moment route
+    # the moment route against the means of the joint law, which small
+    # futures used to take, and against its own loop oracle
     for m1, m2 in ((1, 1), (3, 2), (0, 2), (4, 4)):
         a = pred.expected_new(vc, STATE, m1, m2)
+        joint = pred.posterior_joint_new(vc, STATE, m1, m2)
+        for x, y in zip(a[:3], (joint.mean(1), joint.mean(2), joint.mean(0))):
+            assert x == pytest.approx(y, abs=1e-8)
         b = expected_new_moments_loop(vc, STATE, m1, m2)
         for x, y in zip(a, b):
             assert x == pytest.approx(y, abs=1e-8)
 
 
 def test_expected_new_small_futures_exact_at_large_rate(ants):
-    # why small futures take the joint route: at lam = 1e3 the moment
-    # route's gammaln differences leave about 1e-9 relative error
+    # at lam = 1e3 beta is within 1e-3 of one, so 1 - beta needs log beta
+    # with relative accuracy: gammaln differences would leave relative
+    # errors of 1e-9 at (3, 4) and 2.4e-10 at (20, 20)
     state, _ = ants
     params = ModelParams(0.5, 2.0, OneShiftedPoisson(1e3))
-    got = pred.expected_new(VCoefficients(params), state, 3, 4)
-    want = expected_new_moments_mp(state, params, 3, 4)
-    for x, y in zip(got, want):
-        assert x == pytest.approx(y, rel=1e-10)
+    vc = VCoefficients(params)
+    for m1, m2, rel in ((3, 4, 1e-10), (20, 20, 1e-11)):
+        got = pred.expected_new(vc, state, m1, m2)
+        want = expected_new_moments_mp(state, params, m1, m2)
+        for x, y in zip(got, want):
+            assert x == pytest.approx(y, rel=rel)
 
 
 def test_expected_new_sampler_agreement(vc):

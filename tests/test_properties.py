@@ -1,0 +1,67 @@
+"""Properties of the predictive laws on random small states, drawn by
+hypothesis: the moment route against the joint law, coverage against the
+shared-species law, normalization and ranges."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vecfdp import prediction as pred
+from vecfdp.mprior import OneShiftedPoisson
+from vecfdp.vcoef import ModelParams, VCoefficients
+
+from oracles import uncapped_coverage_prob
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
+
+
+@st.composite
+def cases(draw):
+    """(vc, state, m1, m2): a valid state with n1, n2 <= 6 (one group may
+    be empty), gammas in [0.3, 3], lam in [0.5, 50] and m1 + m2 <= 6."""
+    n1 = draw(st.integers(0, 6))
+    n2 = draw(st.integers(1 if n1 == 0 else 0, 6))
+    r1 = draw(st.integers(1, n1)) if n1 else 0
+    r2 = draw(st.integers(1, n2)) if n2 else 0
+    r = draw(st.integers(max(r1, r2, 1), r1 + r2))
+    gamma = st.floats(0.3, 3.0)
+    params = ModelParams(draw(gamma), draw(gamma),
+                         OneShiftedPoisson(draw(st.floats(0.5, 50.0))))
+    m1 = draw(st.integers(0, 6))
+    m2 = draw(st.integers(0, 6 - m1))
+    return VCoefficients(params), pred.ObservedState(n1, n2, r1, r2, r), m1, m2
+
+
+@SETTINGS
+@given(cases())
+def test_expected_new_is_joint_mean(case):
+    vc, state, m1, m2 = case
+    exp = pred.expected_new(vc, state, m1, m2)
+    joint = pred.posterior_joint_new(vc, state, m1, m2)
+    assert exp.k == pytest.approx(joint.mean(0), abs=1e-8)
+    assert exp.k1 == pytest.approx(joint.mean(1), abs=1e-8)
+    assert exp.k2 == pytest.approx(joint.mean(2), abs=1e-8)
+    assert min(exp.k, exp.k1, exp.k2) >= 0.0
+
+
+@SETTINGS
+@given(cases())
+def test_coverage_is_shared_mass_at_zero(case):
+    vc, state, m1, m2 = case
+    cov = pred.shared_coverage_prob(vc, state, m1, m2)
+    assert 0.0 <= cov <= 1.0
+    # the cap at one hides at most rounding
+    assert uncapped_coverage_prob(vc, state, m1, m2) <= 1.0 + 1e-13
+    assert cov == pytest.approx(pred.shared_pmf(vc, state, m1, m2).prob(0), abs=1e-10)
+
+
+@SETTINGS
+@given(cases())
+def test_laws_normalized(case):
+    vc, state, m1, m2 = case
+    laws = [pred.posterior_joint_new(vc, state, m1, m2),
+            pred.posterior_marginal_global_new(vc, state, m1, m2),
+            pred.posterior_local_new(vc, state, m1, 1),
+            pred.posterior_local_new(vc, state, m2, 2)]
+    for law in laws:
+        assert law.total_mass() == pytest.approx(1.0, abs=1e-8)
