@@ -213,7 +213,7 @@ def _cmd_insample(args) -> dict:
         "correlation": correlation(vc.params, tol=args.tol,
                                    max_terms=args.max_terms),
     }
-    if max(n1, n2) <= 50:
+    if max(n1, n2) <= 100:
         joint = prior_joint(vc, n1, n2)
         e_k, e_k1, e_k2 = (joint.mean(c) for c in range(3))
         report["expected"] = {"k1": e_k1, "k2": e_k2, "k": e_k, "s": e_k1 + e_k2 - e_k}
@@ -222,7 +222,7 @@ def _cmd_insample(args) -> dict:
         report["pmf_shared"] = _pmf_report(shared_marginal(joint))
     else:
         report["note"] = ("in-sample pmf tables are reported only for "
-                          "n1, n2 <= 50; larger samples get correlation only")
+                          "n1, n2 <= 100; larger samples get correlation only")
     return report
 
 

@@ -9,7 +9,8 @@ closed-form prior moments
     E(sum_m w_{j,m}^2)        = (1+g_j) E(1/(1+g_j M))      -> gamma_j
 
 The first equation involves only lambda; given lambda the two gamma
-conditions decouple and can be solved independently.
+conditions decouple.  Each is one bracketed root search on the log of the
+parameter, between brackets that follow from bounds on the moment map.
 """
 
 from __future__ import annotations
@@ -23,10 +24,16 @@ from .logmath import DomainError
 from .mprior import (
     MPrior,
     OneShiftedPoisson,
-    expected_inv_one_plus_gamma_m,
+    PriorWindow,
     expected_inverse_m,
+    prior_window,
 )
 from .vcoef import ModelParams
+
+
+#: relative rounding of a window sum, with room: no root is resolved more
+#: finely, and an ss whose rho (fit_gamma) is this close to 1 has none
+_ROUNDING = 16 * np.finfo(float).eps
 
 
 class MomentRangeError(ValueError):
@@ -75,19 +82,35 @@ def diversity_stats(table, mode: str = "plug_in") -> DiversityStats:
     return DiversityStats(ss1=ss1, ss2=ss2, cp=cp, mode=mode)
 
 
-def _bisect_decreasing(f, lo: float, hi: float, target: float, *,
-                       f_tol: float = 1e-12, max_iter: int = 200) -> float:
-    """Root of f(x) = target for f monotone decreasing on [lo, hi]."""
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        val = f(mid)
-        if abs(val - target) < f_tol:
-            return mid
-        if val > target:
-            lo = mid
+def _window(prior: MPrior | PriorWindow | float) -> PriorWindow:
+    """A window as is, else the window of an MPrior or of a plain rate."""
+    if isinstance(prior, PriorWindow):
+        return prior
+    return prior_window(OneShiftedPoisson(float(prior))
+                        if isinstance(prior, (int, float)) else prior)
+
+
+def _solve_increasing(f, lo: float, hi: float, what: str) -> float:
+    """Root of the increasing f inside (lo, hi), where f(lo) < 0 < f(hi)
+    unless rounding put the root out of reach: regula falsi on log x, halving
+    the f of an end kept twice in a row (Illinois), so both ends close in."""
+    a, b, fa, fb = math.log(lo), math.log(hi), f(lo), f(hi)
+    if not fa < 0.0 < fb:
+        raise MomentRangeError(
+            f"rounding puts the root for {what} outside [{lo:.6g}, {hi:.6g}]")
+    moved = 0  # -1 or 1 when the last step moved a or b
+    while b - a > _ROUNDING * (1.0 + abs(a) + abs(b)):
+        x = a - fa * (b - a) / (fb - fa)
+        if not a < x < b:
+            x = 0.5 * (a + b)
+        fx = f(math.exp(x))
+        if fx == 0.0:
+            return math.exp(x)
+        if fx < 0.0:
+            a, fa, fb, moved = x, fx, fb * (0.5 if moved < 0 else 1.0), -1
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            b, fb, fa, moved = x, fx, fa * (0.5 if moved > 0 else 1.0), 1
+    return math.exp(0.5 * (a + b))
 
 
 def expected_cross_moment(lam: float) -> float:
@@ -95,55 +118,53 @@ def expected_cross_moment(lam: float) -> float:
     return expected_inverse_m(OneShiftedPoisson(lam))
 
 
-def expected_simpson_moment(gamma: float, prior: MPrior) -> float:
+def _simpson_excess(gamma: float, window: PriorWindow) -> float:
+    """1 - (1 + gamma) E(1/(1 + gamma M)) = gamma E[(M-1)/(1+gamma M)]."""
+    return gamma * window.mean((window.m - 1.0) / (1.0 + gamma * window.m))
+
+
+def expected_simpson_moment(gamma: float, prior: MPrior | PriorWindow | float) -> float:
     """Forward map gamma -> (1 + gamma) E(1 / (1 + gamma M))."""
-    return (1.0 + gamma) * expected_inv_one_plus_gamma_m(prior, gamma)
+    return 1.0 - _simpson_excess(gamma, _window(prior))
 
 
 def fit_lambda(cp: float) -> float:
-    """Invert E(1/M) = cp for the species-count rate lambda.
-
-    The map is strictly decreasing from 1 (lambda -> 0) to 0, so the root
-    is unique; the bracket is expanded geometrically before bisecting.
-    """
+    """Invert E(1/M) = cp for the species-count rate lambda.  The map falls
+    from 1 to 0, and 1 - lam/2 <= (1 - e^{-lam})/lam <= 1/lam puts the root
+    in [2(1 - cp), 1/cp]; the bracket is [1 - cp, 2/cp], as a tight end can
+    be the root itself in floating point (lambda = 1/cp at small cp)."""
     if not (0.0 < cp < 1.0):
         raise MomentRangeError(
             f"cross-product moment must lie in (0, 1), got {cp}; a value at or "
             "above 1 has no positive-rate solution")
-    lo, hi = 1e-12, 1.0
-    while expected_cross_moment(hi) > cp:
-        hi *= 2.0
-        if hi > 1e18:
-            raise MomentRangeError(f"no finite rate matches cp={cp}")
-    lam = _bisect_decreasing(expected_cross_moment, lo, hi, cp)
-    return lam
+    return _solve_increasing(lambda lam: cp - expected_cross_moment(lam),
+                             1.0 - cp, 2.0 / cp, f"cp = {cp}")
 
 
-def fit_gamma(ss: float, prior: MPrior | float) -> float:
-    """Invert (1 + gamma) E(1/(1 + gamma M)) = ss for gamma > 0.
+def fit_gamma(ss: float, prior: MPrior | PriorWindow | float) -> float:
+    """Invert (1 + gamma) E(1/(1 + gamma M)) = ss for gamma > 0, where
+    ``prior`` is an MPrior, its :class:`PriorWindow` or a plain Poisson rate.
 
-    ``prior`` may be an MPrior or a plain lambda for the default 1-shifted
-    Poisson.  The moment decreases from 1 (gamma -> 0) to E(1/M)
-    (gamma -> infinity), so ss must lie strictly between those limits; the
-    bisection runs on log-gamma over [1e-8, 1e8].
+    The moment decreases from 1 (gamma -> 0) to E(1/M) (gamma -> infinity).
+    It is solved as h(gamma) = gamma E[(M-1)/(1+gamma M)] = 1 - ss, which
+    does not cancel near ss = 1.  As gamma/(1+gamma) (1 - E(1/M)) <= h(gamma)
+    <= gamma E[M-1], the root is in [(1-ss)/E[M-1], rho/(1-rho)],
+    rho = (1-ss)/(1-E(1/M)); the bracket halves the lower end and takes
+    (1+rho)/2 for rho at the upper one.
     """
-    if isinstance(prior, (int, float)):
-        prior = OneShiftedPoisson(float(prior))
-    lower = expected_inverse_m(prior)
+    window = _window(prior)
     if ss >= 1.0:
         raise MomentRangeError(
             f"Simpson moment {ss} >= 1, the gamma -> 0 limit; no root")
-    if ss <= lower:
+    excess, top = 1.0 - ss, window.mean((window.m - 1.0) / window.m)  # top = 1 - E(1/M)
+    if excess >= top * (1.0 - _ROUNDING):
         raise MomentRangeError(
-            f"Simpson moment {ss} <= E(1/M) = {lower:.6g}, the gamma -> infinity "
-            "limit; no root")
-
-    def moment_of_log_gamma(lg: float) -> float:
-        return expected_simpson_moment(math.exp(lg), prior)
-
-    lg = _bisect_decreasing(moment_of_log_gamma,
-                            math.log(1e-8), math.log(1e8), ss)
-    return math.exp(lg)
+            f"Simpson moment {ss} is not above E(1/M) = {1.0 - top:.6g} by more "
+            "than rounding, the gamma -> infinity limit; no root")
+    rho = excess / top
+    return _solve_increasing(lambda g: _simpson_excess(g, window) - excess,
+                             0.5 * excess / window.mean(window.m - 1.0),
+                             (1.0 + rho) / (1.0 - rho), f"ss = {ss}")
 
 
 @dataclass(frozen=True)
@@ -159,19 +180,28 @@ class FitResult:
         return self.params.m_prior.lam
 
 
-def fit_all(table, mode: str = "plug_in") -> FitResult:
+def fit_all(table, mode: str = "plug_in", *, clamp: bool = False) -> FitResult:
     """Two-step fit: lambda from the cross products, then each gamma from
-    its group's Simpson moment (the two solves are independent)."""
+    its group's Simpson moment, over one window of the fitted prior.
+
+    ``clamp`` moves the moments into the ranges the model attains, so the
+    experiment harnesses get an estimate for every sample: cp into
+    [1/(n1 n2), 1 - 1e-10] (1/(n1 n2): the least cp with a shared species),
+    each ss to 1e-9 of the width of (E(1/M), 1) inside it.  Residuals are
+    those of the moments solved for.
+    """
     stats = diversity_stats(table, mode)
-    lam = fit_lambda(stats.cp)
-    prior = OneShiftedPoisson(lam)
-    gamma1 = fit_gamma(stats.ss1, prior)
-    gamma2 = fit_gamma(stats.ss2, prior)
-    params = ModelParams(gamma1=gamma1, gamma2=gamma2, m_prior=prior)
-    return FitResult(
-        params=params,
-        stats=stats,
-        lambda_residual=abs(expected_cross_moment(lam) - stats.cp),
-        gamma1_residual=abs(expected_simpson_moment(gamma1, prior) - stats.ss1),
-        gamma2_residual=abs(expected_simpson_moment(gamma2, prior) - stats.ss2),
-    )
+    cp, targets = stats.cp, [stats.ss1, stats.ss2]
+    if clamp:
+        cp = min(max(cp, 1.0 / (table.n1 * table.n2)), 1.0 - 1e-10)
+    prior = OneShiftedPoisson(fit_lambda(cp))
+    if clamp:
+        lower = expected_inverse_m(prior)
+        margin = 1e-9 * (1.0 - lower)
+        targets = [min(max(ss, lower + margin), 1.0 - margin) for ss in targets]
+    window = prior_window(prior)
+    gammas = [fit_gamma(ss, window) for ss in targets]
+    residuals = [abs(_simpson_excess(g, window) - (1.0 - ss))
+                 for g, ss in zip(gammas, targets)]
+    return FitResult(ModelParams(*gammas, m_prior=prior), stats,
+                     abs(expected_cross_moment(prior.lam) - cp), *residuals)

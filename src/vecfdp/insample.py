@@ -24,7 +24,7 @@ from scipy.special import gammaln
 
 from .gfc import log_noncentral_row
 from .logmath import DomainError, log_sum_exp_by
-from .mprior import expected_inv_one_plus_gamma_m, expected_inverse_m
+from .mprior import prior_window
 from .pmftable import PmfTable, shared_marginal
 from .vcoef import ModelParams, VCoefficients
 
@@ -114,14 +114,10 @@ def correlation(params: ModelParams, *, tol: float = 1e-12,
 
     Tends to E(1/M) as the concentrations vanish and to 1 as they diverge.
     """
-    prior = params.m_prior
-    num = expected_inverse_m(prior, tol=tol, max_terms=max_terms)
-    e1 = expected_inv_one_plus_gamma_m(prior, params.gamma1, tol=tol,
-                                       max_terms=max_terms)
-    e2 = expected_inv_one_plus_gamma_m(prior, params.gamma2, tol=tol,
-                                       max_terms=max_terms)
-    den = math.sqrt((1.0 + params.gamma1) * (1.0 + params.gamma2)) * math.sqrt(e1 * e2)
-    return num / den
+    window = prior_window(params.m_prior, tol=tol, max_terms=max_terms)
+    g1, g2, m = params.gamma1, params.gamma2, window.m
+    e1, e2 = (window.mean(1.0 / (1.0 + g * m)) for g in (g1, g2))
+    return window.mean(1.0 / m) / math.sqrt((1.0 + g1) * (1.0 + g2) * e1 * e2)
 
 
 def expected_in_sample(vc: VCoefficients, n1: int, n2: int):

@@ -5,8 +5,8 @@ The model is agnostic to this distribution: every downstream quantity only
 needs the pmf ``q_M`` on arrays of m.  Three variants are provided: the
 1-shifted Poisson used by default, a point mass (useful for exact finite
 checks), and an arbitrary tabulated pmf.  :func:`log_series` sums the V
-coefficients, the posterior of the unseen species count and the prior
-expectations.
+coefficients, the posterior of the unseen species count and the prior's
+window, over which every prior expectation is a dot product.
 """
 
 from __future__ import annotations
@@ -148,9 +148,6 @@ class OneShiftedPoisson(MPrior):
     def mode(self) -> int:
         return 1 + int(math.floor(self.lam))
 
-    def mean(self) -> float:
-        return 1.0 + self.lam
-
     def head(self, eps: float) -> int:
         # the eps-quantile of the Poisson(lam) count M - 1, computed as
         # scipy.stats.poisson.ppf does
@@ -204,35 +201,42 @@ class TabulatedPrior(MPrior):
         return 1 + int(np.argmax(self.probs))
 
 
+@dataclass(frozen=True, eq=False)
+class PriorWindow:
+    """The prior pmf ``q`` at the consecutive points ``m`` (int64) that its
+    expectations sum over: one :func:`log_series` run from the prior's head,
+    guarded by its mode.  ``q`` totals one, which cancels to first order the
+    mass left past the window (about tol * sqrt(lam) at a Poisson rate lam)."""
+
+    m: np.ndarray
+    q: np.ndarray
+
+    def mean(self, values) -> float:
+        """E[f(M)] from the values f(m) on the window."""
+        # a pairwise sum, not a BLAS dot, whose threads stall on a busy host
+        return float(np.sum(self.q * values))
+
+
+def prior_window(prior: MPrior, *, tol: float = 1e-12,
+                 max_terms: int = 10**6) -> PriorWindow:
+    """The :class:`PriorWindow` of ``prior`` at series tolerance ``tol``."""
+    start = prior.head(min(tol * 1e-3, 1e-15))
+    log_total, count, log_q = log_series(prior.log_pmf_array, start, prior.mode(),
+                                         prior.support_max, tol=tol, max_terms=max_terms)
+    m = start + np.arange(count[0], dtype=np.int64)
+    return PriorWindow(m, np.exp(log_q[0, :m.size] - log_total[0]))
+
+
 def expectation(prior: MPrior, f, *, tol: float = 1e-12,
                 max_terms: int = 10**6) -> float:
-    """E[f(M)] for a nonnegative f bounded by 1, by truncated summation.
-
-    ``f`` maps an int array of m to an array of values.  The series starts
-    at the prior's ``head``, past the negligible head of a large-rate prior,
-    and stops by the rule of :func:`log_series` with the prior's mode as
-    guard.
-    """
-    def log_term(m):
-        with np.errstate(divide="ignore"):
-            return prior.log_pmf_array(m) + np.log(f(m))
-
-    log_total, _, _ = log_series(log_term, prior.head(min(tol * 1e-3, 1e-15)),
-                                 prior.mode(), prior.support_max,
-                                 tol=tol, max_terms=max_terms)
-    return math.exp(log_total[0])
+    """E[f(M)] for a nonnegative f bounded by 1 (``f`` maps an int array of
+    m to values), as a dot product over the prior's window."""
+    window = prior_window(prior, tol=tol, max_terms=max_terms)
+    return window.mean(f(window.m))
 
 
-def expected_inverse_m(prior: MPrior, **kwargs) -> float:
+def expected_inverse_m(prior: MPrior) -> float:
     """E(1/M); closed form (1 - e^{-lam})/lam under the 1-shifted Poisson."""
     if isinstance(prior, OneShiftedPoisson):
-        lam = prior.lam
-        return -math.expm1(-lam) / lam
-    return expectation(prior, lambda m: 1.0 / m, **kwargs)
-
-
-def expected_inv_one_plus_gamma_m(prior: MPrior, gamma: float, **kwargs) -> float:
-    """E(1/(1 + gamma*M)) by truncated series."""
-    if gamma < 0.0:
-        raise DomainError(f"gamma must be >= 0, got {gamma}")
-    return expectation(prior, lambda m: 1.0 / (1.0 + gamma * m), **kwargs)
+        return -math.expm1(-prior.lam) / prior.lam
+    return expectation(prior, lambda m: 1.0 / m)

@@ -136,8 +136,10 @@ def _log_miss(c: np.ndarray, g: float, m: int) -> np.ndarray:
     factors, then the difference of two Stirling forms taken analytically,
     three log1p terms of the result's size.  c = g gives -inf."""
     head = min(m, _DIRECT)
+    out = np.zeros(np.shape(c))
     with np.errstate(divide="ignore"):
-        out = np.log1p(-g / (c + np.arange(head)[:, None])).sum(axis=0)
+        for i in range(head):  # a factor at a time: memory O(len(c)), not O(head len(c))
+            out += np.log1p(-g / (c + i))
     if m > head:
         x, a = c + head, m - head
         y = x - g

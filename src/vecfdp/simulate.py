@@ -20,12 +20,7 @@ from .baselines import (
     true_discovery_prob,
     yue_estimator,
 )
-from .estimation import (
-    diversity_stats,
-    expected_inverse_m,
-    fit_gamma,
-    fit_lambda,
-)
+from .estimation import fit_all
 from .logmath import DomainError, log_pochhammer, log_sum_exp
 from .mprior import OneShiftedPoisson, PointMass, TabulatedPrior
 from .pmftable import PmfTable
@@ -238,35 +233,6 @@ def bruteforce_prior(params: ModelParams, n1: int, n2: int, *,
     return PmfTable({key: log_sum_exp(terms) for key, terms in acc.items()})
 
 
-def _clamp(value: float, lo: float, hi: float) -> float:
-    return min(max(value, lo), hi)
-
-
-def fit_params_clamped(table: AbundanceTable, mode: str = "plug_in") -> ModelParams:
-    """Diversity-based fit with sample moments clamped into the feasible
-    open intervals.
-
-    Finite samples can produce a cross-product estimate of zero (no shared
-    species observed) or Simpson estimates outside the range attainable by
-    the model; the experiment harnesses still need an estimate for every
-    replicate, so offending moments are moved to the nearest feasible value.
-    A zero cross product is floored at 1/(n1 n2), the smallest value a
-    sample with any shared species could have produced.
-    """
-    stats = diversity_stats(table, mode)
-    cp_floor = 1.0 / (table.n1 * table.n2)
-    cp = _clamp(stats.cp, cp_floor, 1.0 - 1e-10)
-    lam = fit_lambda(cp)
-    prior = OneShiftedPoisson(lam)
-    lower = expected_inverse_m(prior)
-    gammas = []
-    for ss in (stats.ss1, stats.ss2):
-        span = 1.0 - lower
-        ss = _clamp(ss, lower + 1e-9 * span, 1.0 - 1e-9 * span)
-        gammas.append(fit_gamma(ss, prior))
-    return ModelParams(gamma1=gammas[0], gamma2=gammas[1], m_prior=prior)
-
-
 @dataclass(frozen=True)
 class Experiment1Config:
     """One-step shared-species discovery benchmark over growing samples."""
@@ -325,7 +291,7 @@ def run_experiment1(config: Experiment1Config) -> list[dict]:
             per_n[n]["yue"].append(yue_estimator(counts, n, n).value)
             per_n[n]["chao_sh"].append(chao_shared_estimator(counts, n, n).value)
             per_n[n]["true"].append(true_discovery_prob(pop.p1, pop.p2, c1, c2))
-            params = fit_params_clamped(table, config.mode)
+            params = fit_all(table, config.mode, clamp=True).params
             vc = VCoefficients(params)
             state = ObservedState.from_abundance(table)
             per_n[n]["proposed"].append(one_step_discovery_prob(vc, state))
@@ -380,7 +346,7 @@ def run_experiment2(config: Experiment2Config) -> list[dict]:
             table = from_counts([f"sp{i:04d}" for i in range(pop.m_true)],
                                 c1, c2, drop_empty=True)
             s_obs = table.t
-            params = fit_params_clamped(table, config.mode)
+            params = fit_all(table, config.mode, clamp=True).params
             vc = VCoefficients(params)
             state = ObservedState.from_abundance(table)
             m_future = config.n - train

@@ -177,6 +177,27 @@ def expected_new_moments_mp(state: ObservedState, params, m1: int, m2: int,
                            s=float(e_k1 + e_k2 - e_k))
 
 
+def simpson_moment_mp(gamma, lam, dps: int = 30):
+    """The Simpson moment (1 + gamma) E(1/(1 + gamma M)) under the
+    one-shifted Poisson prior of rate lam, as an mpmath number in
+    ``dps``-digit arithmetic.
+
+    The pmf runs by its ratio q(m+1)/q(m) = lam/m over lam +- 15 standard
+    deviations, widened by 100 (from m = 1 for a small rate); the mass
+    outside is below 1e-40.
+    """
+    with mpmath.workdps(dps):
+        g, rate = mpmath.mpf(gamma), mpmath.mpf(lam)
+        spread = 15.0 * math.sqrt(lam) + 100
+        lo, hi = max(1, int(lam - spread)), int(lam + spread)
+        q = mpmath.exp(-rate + (lo - 1) * mpmath.log(rate) - mpmath.loggamma(lo))
+        total = mpmath.mpf(0)
+        for m in range(lo, hi + 1):
+            total += q / (1 + g * m)
+            q *= rate / m
+        return (1 + g) * total
+
+
 def prior_joint_loop(vc: VCoefficients, n1: int, n2: int) -> PmfTable:
     """P(r, r1, r2) = V^r_{n1,n2} r1! r2! / (r1*! r2*! t!)
     |C(n1, r1; -g1)| |C(n2, r2; -g2)|, one cell at a time."""

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import vecfdp
@@ -22,6 +23,7 @@ from oracles import (
     prior_joint_global_shared_loop,
     prior_joint_loop,
     prior_marginal_global_loop,
+    simpson_moment_mp,
     uncapped_coverage_prob,
 )
 
@@ -82,6 +84,24 @@ def test_degenerate_moments_is_numerical_error(capsys, tmp_path):
     assert "numerical error" in err
 
 
+def test_fit_two_species_table(capsys, two_species_csv):
+    # the Simpson root, gamma = 4.0e-12, lies far below any fixed bracket
+    # of gamma; a fit that stops at such a bracket's edge misses ss by 5e-3
+    code, out, err = run(capsys, "fit", two_species_csv)
+    assert code == 0, err
+    report = json.loads(out)
+    lam, gamma = report["params"]["lambda"], report["params"]["gamma1"]
+    assert report["params"]["gamma2"] == gamma
+    assert gamma == pytest.approx(4.0e-12, rel=1e-3)
+    assert max(report["residuals"].values()) <= 1e-12
+    # the moment decreases in gamma, so a target between the moments at
+    # gamma (1 -+ 1e-9) puts the mpmath root within rel 1e-9 of gamma
+    with mpmath.workdps(30):
+        ss = mpmath.mpf(10**12 + 1) / mpmath.mpf(10**6 + 1) ** 2
+        assert simpson_moment_mp(gamma * (1 - 1e-9), lam) > ss
+        assert simpson_moment_mp(gamma * (1 + 1e-9), lam) < ss
+
+
 def test_insample_report(capsys, toy_csv):
     code, out, err = run(capsys, "insample", toy_csv)
     assert code == 0
@@ -108,6 +128,33 @@ def test_insample_large_table_reports_correlation_only(capsys):
     report = json.loads(out)
     assert "note" in report and "pmf_joint" not in report
     assert 0.0 < report["correlation"] <= 1.0
+
+
+def test_insample_100_by_100_table_small_memory(tmp_path):
+    # the largest table the CLI reports in-sample pmfs for: its lattice has
+    # about 3.4e5 cells
+    sample = draw_sample(generate_population(60, 0.9, 0.85, seed=3), 100, 100, seed=5)
+    path = tmp_path / "hundred.csv"
+    write_csv(sample.table(), path)
+    src = str(Path(vecfdp.__file__).resolve().parents[1])
+    probe = (
+        "import contextlib, io, json, resource\n"
+        "from vecfdp.cli import main\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    code = main(['insample', {str(path)!r}])\n"
+        "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "report = json.loads(out.getvalue())\n"
+        "print(json.dumps({'code': code, 'rss_kb': rss, 'n': report['input']['n1'],\n"
+        "                  'mass': report['pmf_joint']['total_mass']}))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], check=True,
+                          capture_output=True, text=True, cwd=src, timeout=300)
+    result = json.loads(done.stdout)
+    assert result["code"] == 0
+    assert result["n"] == 100
+    assert result["mass"] == pytest.approx(1.0, abs=1e-8)
+    assert result["rss_kb"] < 250 * 1024
 
 
 def test_insample_laws_match_scalar_loops(capsys, tmp_path):

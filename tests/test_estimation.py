@@ -86,7 +86,7 @@ def test_fit_lambda_range_errors():
 def test_fit_gamma_round_trip():
     for lam in (0.5, 2.0, 10.0):
         prior = OneShiftedPoisson(lam)
-        for gamma in (0.05, 0.8, 1.5, 5.0, 20.0):
+        for gamma in (1e-9, 0.05, 0.8, 1.5, 5.0, 20.0):
             ss = expected_simpson_moment(gamma, prior)
             back = fit_gamma(ss, prior)
             assert back == pytest.approx(gamma, rel=1e-6)

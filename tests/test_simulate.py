@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vecfdp import insample, prediction, simulate
+from vecfdp.estimation import fit_all
 from vecfdp.logmath import DomainError
 from vecfdp.mprior import OneShiftedPoisson, PointMass
 from vecfdp.vcoef import ModelParams, VCoefficients
@@ -147,9 +148,9 @@ def test_bruteforce_single_pair_reproduces_hand_table():
         g1g2 * math.exp(vc.log_v(1, 1, 2)), rel=1e-10)
 
 
-def test_fit_params_clamped_handles_no_shared_species():
+def test_fit_all_clamped_handles_no_shared_species():
     table = simulate.from_counts(["a", "b"], [3, 0], [0, 4])
-    params = simulate.fit_params_clamped(table)
+    params = fit_all(table, clamp=True).params
     assert params.m_prior.lam > 0
     assert params.gamma1 > 0 and params.gamma2 > 0
 
