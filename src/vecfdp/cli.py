@@ -103,10 +103,52 @@ def _model_from_args(args, table) -> tuple[VCoefficients, dict]:
     return vc, meta
 
 
+def _checked(convert, ok, expected: str):
+    """An argparse ``type``: ``convert`` a value, then reject it unless ``ok``."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r}: expected {expected}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names the type in its message
+    return parse
+
+
+_tolerance = _checked(float, lambda x: 0.0 < x < 1.0, "a number in (0, 1)")
+_at_least_one = _checked(int, lambda n: n >= 1, "an integer >= 1")
+_future_size = _checked(int, lambda m: m >= 0, "an integer >= 0")
+
+
+def _grid_numbers(spec: str, expected: str, ok) -> tuple[int, int, int]:
+    """A, B, STEP of a --grid value A:B:STEP, with STEP >= 1 and ok(A, B)."""
+    try:
+        a, b, step = (int(x) for x in spec.split(":"))
+    except ValueError:
+        a = b = step = 0
+    if step < 1 or not ok(a, b):
+        raise argparse.ArgumentTypeError(f"bad --grid {spec!r}; expected {expected}")
+    return a, b, step
+
+
+def _future_grid(spec: str) -> list[tuple[int, int]]:
+    """Curve grid 0..M1 x 0..M2 in steps, each axis closed by its end."""
+    m1_max, m2_max, step = _grid_numbers(spec, "M1:M2:STEP, M1 and M2 >= 0",
+                                         lambda a, b: min(a, b) >= 0)
+    points1 = sorted(set(range(0, m1_max + 1, step)) | {m1_max})
+    points2 = sorted(set(range(0, m2_max + 1, step)) | {m2_max})
+    return [(a, b) for a in points1 for b in points2]
+
+
+def _size_grid(spec: str) -> tuple[int, ...]:
+    """Experiment 1 sample sizes LO..HI in steps."""
+    lo, hi, step = _grid_numbers(spec, "LO:HI:STEP, 1 <= LO <= HI", lambda a, b: 1 <= a <= b)
+    return tuple(range(lo, hi + 1, step))
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=1e-12,
-                   help="relative series truncation tolerance")
-    p.add_argument("--max-terms", type=int, default=10**6,
+    p.add_argument("--tol", type=_tolerance, default=1e-12,
+                   help="relative series truncation tolerance, in (0, 1)")
+    p.add_argument("--max-terms", type=_at_least_one, default=10**6,
                    help="cap on series terms before a convergence error")
     p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--mode", choices=("plug_in", "unbiased"), default="plug_in",
@@ -144,8 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="posterior prediction for (m1, m2)")
     p.add_argument("table")
-    p.add_argument("--m1", type=int, required=True)
-    p.add_argument("--m2", type=int, required=True)
+    p.add_argument("--m1", type=_future_size, required=True)
+    p.add_argument("--m2", type=_future_size, required=True)
     _add_params(p)
     _add_common(p)
 
@@ -156,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curve", help="extrapolation curve rows as CSV")
     p.add_argument("table")
-    p.add_argument("--grid", default="10:10:2",
+    p.add_argument("--grid", type=_future_grid, default="10:10:2",
                    help="M1:M2:STEP, Cartesian grid 0..M1 x 0..M2 in steps")
     _add_params(p)
     _add_common(p)
@@ -170,10 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha1", type=float, default=0.8)
     p.add_argument("--alpha2", type=float, default=0.8)
     p.add_argument("--m-true", type=int, default=60)
-    p.add_argument("--grid", default="50:400:50",
+    p.add_argument("--grid", type=_size_grid, default="50:400:50",
                    help="experiment 1 sample sizes LO:HI:STEP")
     p.add_argument("--n", type=int, default=400, help="experiment 2 sample size")
-    p.add_argument("--replications", type=int, default=20)
+    p.add_argument("--replications", type=_at_least_one, default=20)
     _add_common(p)
 
     p = sub.add_parser("validate", help="numerical validation battery")
@@ -264,23 +306,11 @@ def _cmd_discover(args) -> dict:
     }
 
 
-def _parse_grid(spec: str) -> list[tuple[int, int]]:
-    try:
-        m1_max, m2_max, step = (int(x) for x in spec.split(":"))
-        if m1_max < 0 or m2_max < 0 or step < 1:
-            raise ValueError
-    except ValueError:
-        raise SystemExit2(f"bad --grid {spec!r}; expected M1:M2:STEP") from None
-    points1 = sorted(set(list(range(0, m1_max + 1, step)) + [m1_max]))
-    points2 = sorted(set(list(range(0, m2_max + 1, step)) + [m2_max]))
-    return [(a, b) for a in points1 for b in points2]
-
-
 def _cmd_curve(args) -> list[dict]:
     table = ingest(args.table)
     vc, meta = _model_from_args(args, table)
     state = ObservedState.from_abundance(table)
-    return extrapolation_curves(vc, state, _parse_grid(args.grid))
+    return extrapolation_curves(vc, state, args.grid)
 
 
 def _cmd_baselines(args) -> dict:
@@ -305,10 +335,8 @@ def _cmd_baselines(args) -> dict:
 
 def _cmd_simulate(args) -> list[dict]:
     if args.experiment == 1:
-        lo, hi, step = (int(x) for x in args.grid.split(":"))
         cfg = Experiment1Config(alpha1=args.alpha1, alpha2=args.alpha2,
-                                m_true=args.m_true,
-                                grid=tuple(range(lo, hi + 1, step)),
+                                m_true=args.m_true, grid=args.grid,
                                 replications=args.replications,
                                 seed=args.seed or 11, mode=args.mode)
         return run_experiment1(cfg)

@@ -32,6 +32,8 @@ def log_noncentral_row(m: int, gamma: float, rho: float) -> np.ndarray:
     time in a single buffer of m + 1 entries, so memory is O(m).  With
     rho = 0 this is the central row: |C(m, 0)| = 0 for m >= 1.
     """
+    if m < 0:
+        raise DomainError(f"m must be >= 0, got {m}")
     if gamma <= 0.0:
         raise DomainError(f"gamma must be positive, got {gamma}")
     if rho < 0.0:

@@ -39,38 +39,6 @@ def log_pochhammer(x: float, n: float) -> float:
     return float(gammaln(x + n) - gammaln(x))
 
 
-def log_falling_factorial(m: float, r: int) -> float:
-    """log of (m)_{r falling} = m (m-1) ... (m-r+1); -inf whenever r > m."""
-    if r < 0:
-        raise DomainError(f"log_falling_factorial requires r >= 0, got r={r}")
-    if r == 0:
-        return 0.0
-    if m < r:
-        return LOG_ZERO
-    if isinstance(m, int) or float(m).is_integer():
-        m = int(m)
-        return log_factorial(m) - log_factorial(m - r)
-    return float(gammaln(m + 1) - gammaln(m - r + 1))
-
-
-_LOG_FACT = gammaln(np.arange(512, dtype=float) + 1.0)
-
-
-def log_factorial(n: int) -> float:
-    global _LOG_FACT
-    if n >= _LOG_FACT.size:
-        _LOG_FACT = gammaln(np.arange(max(2 * _LOG_FACT.size, n + 1),
-                                      dtype=float) + 1.0)
-    return float(_LOG_FACT[n])
-
-
-def log_binomial(n: int, k: int) -> float:
-    """log of the binomial coefficient; -inf outside 0 <= k <= n."""
-    if k < 0 or k > n or n < 0:
-        return LOG_ZERO
-    return log_factorial(n) - log_factorial(k) - log_factorial(n - k)
-
-
 def log_sum_exp(terms: Iterable[float]) -> float:
     """log of a sum of exponentials via max shift; empty input gives -inf."""
     arr = np.asarray(list(terms) if not isinstance(terms, np.ndarray) else terms,

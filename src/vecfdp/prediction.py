@@ -9,9 +9,19 @@ factorial coefficients |C(m, k; -gamma_j, -(gamma_j r_j + n_j))|, streamed
 as whole rows in O(m) memory.  Every ratio V^{r+k}_{n1+m1,n2+m2} /
 V^r_{n1,n2} is an expectation over the posterior of the unseen species
 count M*, from one helper, :func:`_log_v_ratios`: no law subtracts two
-logs of V, which reach 10^7 at sample sizes of 10^6.  The coverage lattice
-is summed on numpy blocks; the expected counts sum appearance
-probabilities over the posterior as arrays, at any future size.
+logs of V, which reach 10^7 at sample sizes of 10^6.
+
+The joint law of new species (k, k1, k2) and its global marginal k are one
+log-space contraction, :func:`_log_new_species`:
+
+    out[k, i, j] = lr[k] + LSE_{a,b} ( x1[i, a] + x2[j, b]
+                                       - log (k-a)! - log (k-b)! - log (a+b-k)! )
+
+where lr[k] is the V ratio at r + k, and a and b count the brand-new
+species that reach group 1's and group 2's future (a + b - k reach both).
+The two laws differ only in their rows x1 and x2.  The coverage lattice is
+summed on numpy blocks; the expected counts sum appearance probabilities
+over the posterior as arrays, at any future size.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .gfc import log_noncentral_row
-from .logmath import LOG_ZERO, DomainError, log_binomial, log_factorial, log_sum_exp
+from .logmath import LOG_ZERO, DomainError, log_sum_exp
 from .pmftable import PmfTable, shared_marginal
 from .vcoef import VCoefficients
 
@@ -149,9 +159,11 @@ def _log_miss(c: np.ndarray, g: float, m: int) -> np.ndarray:
 
 
 def _log_sum_rows(x: np.ndarray) -> np.ndarray:
-    """log sum exp along each row of a 2-D array with a finite entry per row."""
-    peak = x.max(axis=1, keepdims=True)
-    return peak[:, 0] + np.log(np.exp(x - peak).sum(axis=1))
+    """log sum exp along the last axis; -inf where all its entries are."""
+    peak = x.max(axis=-1, keepdims=True)
+    peak[peak == LOG_ZERO] = 0.0
+    with np.errstate(divide="ignore"):
+        return peak[..., 0] + np.log(np.exp(x - peak).sum(axis=-1))
 
 
 def _log_v_ratios(vc: VCoefficients, n1: int, n2: int, r: int,
@@ -184,7 +196,7 @@ def _log_v_ratios(vc: VCoefficients, n1: int, n2: int, r: int,
     step = max(1, _LATTICE_BLOCK // m_star.size)
     fall = np.zeros(m_star.size)  # log (M*)_{k fall} at the row before a block
     with np.errstate(divide="ignore"):
-        log_den = _log_sum_rows(lw[None, :])[0]
+        log_den = _log_sum_rows(lw)
         for lo in range(0, top + 1, step):
             k = np.arange(lo, min(lo + step, top + 1))[:, None]
             cells = np.log(np.maximum(m_star - k + 1.0, 0.0))  # log (M* - k + 1)
@@ -203,92 +215,100 @@ def posterior_m_mean(vc: VCoefficients, state: ObservedState) -> float:
     return math.exp(_log_v_ratios(vc, state.n1, state.n2, state.r, 0, 0, 1)[1])
 
 
-def _log_inner_sum(k: int, k1: int, k2: int, r1_star: int, r2_star: int) -> float:
-    """Combinatorial inner double sum of the joint predictive law.
+def _neg_log_factorial(n: np.ndarray) -> np.ndarray:
+    """-log n! of an integer array; -inf (1/n! = 0) where n < 0."""
+    return np.where(n >= 0, -gammaln(np.maximum(n, 0) + 1.0), LOG_ZERO)
 
-    sum over s* (new shared among the k new species) and k1* (new species
-    exclusive to group 1) of  k1! k2! / (s*! k1*! k2*!)
-    binom(r1*, s12) binom(r2*, s21), with k2* = k - s* - k1*,
-    s12 = k2 + k1* - k, s21 = k1 - k1* - s*; index combinations driving any
-    auxiliary count negative contribute nothing.
+
+def _log_new_species(lr: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """The new-species contraction shared by the joint and global laws:
+
+        out[k, i, j] = lr[k] + LSE_{a,b} ( x1[i, a] + x2[j, b]
+                                           - log (k-a)! - log (k-b)! - log (a+b-k)! )
+
+    for k up to the last finite ``lr``, where a and b count the brand-new
+    species that reach group 1's and group 2's future (a + b - k of them
+    reach both).  Terms with a negative factorial argument are zero.  The
+    sum runs over b, then over a, on blocks of k of about
+    ``_LATTICE_BLOCK`` cells; a block reads only a, b up to its largest k.
     """
-    terms = []
-    base = log_factorial(k1) + log_factorial(k2)
-    for s_star in range(0, k + 1):
-        for k1_star in range(0, k - s_star + 1):
-            k2_star = k - s_star - k1_star
-            s12 = k2 + k1_star - k
-            s21 = k1 - k1_star - s_star
-            if s12 < 0 or s21 < 0 or s12 > r1_star or s21 > r2_star:
-                continue
-            terms.append(base
-                         - log_factorial(s_star) - log_factorial(k1_star)
-                         - log_factorial(k2_star)
-                         + log_binomial(r1_star, s12)
-                         + log_binomial(r2_star, s21))
-    return log_sum_exp(terms)
+    top = int(np.count_nonzero(lr > LOG_ZERO)) - 1
+    (ni, na), (nj, nb) = x1.shape, x2.shape
+    na, nb = min(na, top + 1), min(nb, top + 1)
+    inv = _neg_log_factorial(np.arange(-top, 2 * top + 1))  # inv[top + n] = -log n!
+    out = np.empty((top + 1, ni, nj))
+    step = max(1, _LATTICE_BLOCK // (na * nj * max(nb, ni)))
+    for lo in range(0, top + 1, step):
+        k = np.arange(lo, min(lo + step, top + 1))
+        a = np.arange(min(na, k[-1] + 1))
+        b = np.arange(min(nb, k[-1] + 1))
+        kc = k[:, None, None]
+        # y[k, a, j] = LSE_b ( x2[j, b] - log (k-b)! - log (a+b-k)! )
+        y = _log_sum_rows((x2[:, b] + inv[top + kc - b])[:, None]
+                          + inv[top + a[:, None] + b - kc][:, :, None])
+        out[k] = lr[k, None, None] + _log_sum_rows(
+            (x1[:, a] + inv[top + kc - a])[:, :, None] + y.transpose(0, 2, 1)[:, None])
+    return out
+
+
+def _local_rows(row: np.ndarray, r_other: int) -> np.ndarray:
+    """x[k, a] = row[k] + log k! + log binom(r_other, k - a): of k new local
+    species, a are brand new and k - a were seen only in the other group."""
+    k = np.arange(row.size)
+    d = k[:, None] - k
+    return ((row + gammaln(k + 1.0))[:, None] + gammaln(r_other + 1.0)
+            + _neg_log_factorial(d) + _neg_log_factorial(r_other - d))
 
 
 def posterior_joint_new(vc: VCoefficients, state: ObservedState,
                         m1: int, m2: int) -> PmfTable:
     """Joint pmf of (new global k, new local k1, new local k2) in a future
-    sample of sizes (m1, m2), given the observed state."""
+    sample of sizes (m1, m2), given the observed state, keyed in the order
+    k1, then k2, then ascending k:
+
+        P(k, k1, k2) = (V^{r+k}_{n1+m1,n2+m2} / V^r_{n1,n2}) k1! k2!
+                       prod_j |C(m_j, k_j; -g_j, -(g_j r_j + n_j))|
+                       sum_{a,b} binom(r2*, k1-a) binom(r1*, k2-b)
+                                 / ((k-a)! (k-b)! (a+b-k)!)
+
+    Of group 1's k1 new local species, a are brand new and k1 - a were seen
+    only in group 2 (likewise b of k2); a + b - k brand-new species reach
+    both futures.  This is :func:`_log_new_species` with the rows
+    x1[k1, a] = log|C(m1, k1; ...)| + log k1! + log binom(r2*, k1-a) and x2.
+    """
     if m1 < 0 or m2 < 0:
         raise DomainError("future sample sizes must be >= 0")
     g1, g2 = vc.params.gamma1, vc.params.gamma2
-    row1 = log_noncentral_row(m1, g1, g1 * state.r1 + state.n1)
-    row2 = log_noncentral_row(m2, g2, g2 * state.r2 + state.n2)
     lr = _log_v_ratios(vc, state.n1, state.n2, state.r, m1, m2, m1 + m2)
-    entries = {}
-    for k1 in range(0, m1 + 1):
-        for k2 in range(0, m2 + 1):
-            base = row1[k1] + row2[k2]
-            if base == LOG_ZERO:
-                continue
-            for k in range(0, k1 + k2 + 1):
-                inner = _log_inner_sum(k, k1, k2, state.r1_star, state.r2_star)
-                if inner == LOG_ZERO:
-                    continue
-                entries[(k, k1, k2)] = lr[k] + base + inner
-    return PmfTable(entries)
+    x1 = _local_rows(log_noncentral_row(m1, g1, g1 * state.r1 + state.n1), state.r2_star)
+    x2 = _local_rows(log_noncentral_row(m2, g2, g2 * state.r2 + state.n2), state.r1_star)
+    law = _log_new_species(lr, x1, x2).transpose(1, 2, 0)  # [k1, k2, k]
+    k1, k2, k = np.indices(law.shape)
+    return PmfTable.from_arrays(np.stack([k, k1, k2], axis=-1).reshape(-1, 3), law.ravel())
 
 
 def posterior_marginal_global_new(vc: VCoefficients, state: ObservedState,
                                   m1: int, m2: int) -> PmfTable:
     """Pmf of the number of new global distinct species k in (m1, m2).
 
-    P(k) = (V^{r+k}_{n1+m1,n2+m2} / V^r_{n1,n2}) *
-           sum_{k1*, k2* >= 0, k1*+k2* <= k}
-           (k1*+s*)! (k2*+s*)! / (k1*! k2*! s*!)
-           prod_j |C(m_j, k_j*+s*; -g_j, -(g_j r + n_j))|,  s* = k-k1*-k2*.
+    P(k) = (V^{r+k}_{n1+m1,n2+m2} / V^r_{n1,n2}) sum_{a,b} a! b!
+           / ((k-a)! (k-b)! (a+b-k)!) prod_j |C(m_j, a_j; -g_j, -(g_j r + n_j))|
 
-    The non-central shift here is gamma_j * r + n_j (global r): the marginal
-    never needs to know which of the r species each group has seen.
+    with (a_1, a_2) = (a, b): group 1's future gains a species it has not
+    seen, group 2's future b, and a + b - k of them are common to both.
+    This is :func:`_log_new_species` with single rows
+    x1[0, a] = log|C(m1, a; ...)| + log a! and x2 alike.  The non-central
+    shift here is gamma_j * r + n_j (global r): the marginal never needs to
+    know which of the r species each group has seen.
     """
     if m1 < 0 or m2 < 0:
         raise DomainError("future sample sizes must be >= 0")
     g1, g2 = vc.params.gamma1, vc.params.gamma2
-    row1 = log_noncentral_row(m1, g1, g1 * state.r + state.n1)
-    row2 = log_noncentral_row(m2, g2, g2 * state.r + state.n2)
     lr = _log_v_ratios(vc, state.n1, state.n2, state.r, m1, m2, m1 + m2)
-    lf = gammaln(np.arange(m1 + m2 + 2, dtype=float))  # lf[i] = log (i-1)!
-    entries = {}
-    for k in np.flatnonzero(lr > LOG_ZERO).tolist():
-        # term(k1*, k2*) with s* = k - k1* - k2* >= 0; group j gains
-        # i_j = k - k_{j'}* species, so the grid separates into a row
-        # factor in k1*, a column factor in k2*, and the s*! coupling.
-        a = np.arange(k + 1)
-        right = np.where(k - a <= m1, row1[np.minimum(k - a, m1)] + lf[k - a + 1], LOG_ZERO)
-        down = np.where(k - a <= m2, row2[np.minimum(k - a, m2)] + lf[k - a + 1], LOG_ZERO)
-        s_grid = k - a[:, None] - a[None, :]
-        with np.errstate(invalid="ignore"):
-            grid = ((down - lf[a + 1])[:, None] + (right - lf[a + 1])[None, :]
-                    - np.where(s_grid >= 0, lf[np.maximum(s_grid, 0) + 1], np.inf))
-        grid[s_grid < 0] = LOG_ZERO
-        lse = log_sum_exp(grid.ravel())
-        if lse > LOG_ZERO:
-            entries[k] = lr[k] + lse
-    return PmfTable(entries)
+    x1 = log_noncentral_row(m1, g1, g1 * state.r + state.n1) + gammaln(np.arange(m1 + 1.0) + 1)
+    x2 = log_noncentral_row(m2, g2, g2 * state.r + state.n2) + gammaln(np.arange(m2 + 1.0) + 1)
+    law = _log_new_species(lr, x1[None], x2[None])[:, 0, 0]
+    return PmfTable.from_arrays(np.arange(law.size), law)
 
 
 def posterior_local_new(vc: VCoefficients, state: ObservedState, m: int,
@@ -404,6 +424,8 @@ def expected_new(vc: VCoefficients, state: ObservedState,
     given the pool size), as arrays over the posterior's window.
     s = k1 + k2 - k holds by construction.
     """
+    if m1 < 0 or m2 < 0:
+        raise DomainError("future sample sizes must be >= 0")
     m_star, lw = _posterior(vc, state.n1, state.n2, state.r)
     q = np.exp(lw)
     q /= q.sum()

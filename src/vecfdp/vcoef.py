@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .logmath import LOG_ZERO, DomainError, log_falling_factorial, log_pochhammer
+from .logmath import LOG_ZERO, DomainError
 from .mprior import MPrior, log_series
 
 DEFAULT_TOL = 1e-12
@@ -218,27 +218,3 @@ class VCoefficients:
         ]
         rhs_over_lhs = sum(c * math.exp(lv - log_lhs) for c, lv in pieces if c != 0.0)
         return abs(1.0 - rhs_over_lhs)
-
-    def log_v_asymptotic(self, n1: int, n2: int, r: int) -> float:
-        """Two-term large-sample expansion of log V^r_{n1,n2}.
-
-        leading = r! q_M(r) / [(g1 r)_{n1} (g2 r)_{n2}]; the correction
-        multiplies it by 1 + (r+1) (g1 r)_{g1} (g2 r)_{g2}
-        n1^{-g1} n2^{-g2} q_M(r+1)/q_M(r).
-        """
-        if n1 < 1 or n2 < 1:
-            raise DomainError("asymptotic form needs n1, n2 >= 1")
-        prior = self.params.m_prior
-        lq_r = prior.log_pmf(r)
-        if lq_r == LOG_ZERO:
-            raise DomainError(f"prior mass at r={r} is zero")
-        g1, g2 = self.params.gamma1, self.params.gamma2
-        leading = (log_falling_factorial(r, r) + lq_r
-                   - log_pochhammer(g1 * r, n1) - log_pochhammer(g2 * r, n2))
-        lq_r1 = prior.log_pmf(r + 1)
-        if lq_r1 == LOG_ZERO:
-            return leading
-        log_corr = (math.log(r + 1.0) + lq_r1 - lq_r
-                    + log_pochhammer(g1 * r, g1) + log_pochhammer(g2 * r, g2)
-                    - g1 * math.log(n1) - g2 * math.log(n2))
-        return leading + math.log1p(math.exp(log_corr))

@@ -8,7 +8,11 @@ expected new-species counts by a loop over the posterior support in scalar
 arithmetic and by the same sum in mpmath arithmetic, and the in-sample
 laws by scalar loops: the joint cell by cell, the global law by the double
 sum over the missing-species counts and the (global, shared) law by the
-sum over the group-exclusive count.
+sum over the group-exclusive count.  The joint predictive law of new
+species runs cell by cell with a double loop per cell, and its global
+marginal one k at a time.  The scalar log factorials and binomials these
+loops use, and the large-sample expansion of V, live here too: nothing in
+the package calls them.
 """
 
 from __future__ import annotations
@@ -17,17 +21,10 @@ import math
 
 import mpmath
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
 from vecfdp.gfc import build_central_table, log_noncentral_row
-from vecfdp.logmath import (
-    LOG_ZERO,
-    DomainError,
-    log_binomial,
-    log_factorial,
-    log_pochhammer,
-    log_sum_exp,
-)
+from vecfdp.logmath import LOG_ZERO, DomainError, log_pochhammer, log_sum_exp
 from vecfdp.pmftable import PmfTable
 from vecfdp.prediction import (
     _DIRECT,
@@ -37,6 +34,63 @@ from vecfdp.prediction import (
     _log_v_ratios,
 )
 from vecfdp.vcoef import VCoefficients, log_v
+
+
+def log_falling_factorial(m: float, r: int) -> float:
+    """log of (m)_{r falling} = m (m-1) ... (m-r+1); -inf whenever r > m."""
+    if r < 0:
+        raise DomainError(f"log_falling_factorial requires r >= 0, got r={r}")
+    if r == 0:
+        return 0.0
+    if m < r:
+        return LOG_ZERO
+    if isinstance(m, int) or float(m).is_integer():
+        m = int(m)
+        return log_factorial(m) - log_factorial(m - r)
+    return float(gammaln(m + 1) - gammaln(m - r + 1))
+
+
+_LOG_FACT = gammaln(np.arange(512, dtype=float) + 1.0)
+
+
+def log_factorial(n: int) -> float:
+    global _LOG_FACT
+    if n >= _LOG_FACT.size:
+        _LOG_FACT = gammaln(np.arange(max(2 * _LOG_FACT.size, n + 1),
+                                      dtype=float) + 1.0)
+    return float(_LOG_FACT[n])
+
+
+def log_binomial(n: int, k: int) -> float:
+    """log of the binomial coefficient; -inf outside 0 <= k <= n."""
+    if k < 0 or k > n or n < 0:
+        return LOG_ZERO
+    return log_factorial(n) - log_factorial(k) - log_factorial(n - k)
+
+
+def log_v_asymptotic(vc: VCoefficients, n1: int, n2: int, r: int) -> float:
+    """Two-term large-sample expansion of log V^r_{n1,n2}.
+
+    leading = r! q_M(r) / [(g1 r)_{n1} (g2 r)_{n2}]; the correction
+    multiplies it by 1 + (r+1) (g1 r)_{g1} (g2 r)_{g2}
+    n1^{-g1} n2^{-g2} q_M(r+1)/q_M(r).
+    """
+    if n1 < 1 or n2 < 1:
+        raise DomainError("asymptotic form needs n1, n2 >= 1")
+    prior = vc.params.m_prior
+    lq_r = prior.log_pmf(r)
+    if lq_r == LOG_ZERO:
+        raise DomainError(f"prior mass at r={r} is zero")
+    g1, g2 = vc.params.gamma1, vc.params.gamma2
+    leading = (log_falling_factorial(r, r) + lq_r
+               - log_pochhammer(g1 * r, n1) - log_pochhammer(g2 * r, n2))
+    lq_r1 = prior.log_pmf(r + 1)
+    if lq_r1 == LOG_ZERO:
+        return leading
+    log_corr = (math.log(r + 1.0) + lq_r1 - lq_r
+                + log_pochhammer(g1 * r, g1) + log_pochhammer(g2 * r, g2)
+                - g1 * math.log(n1) - g2 * math.log(n2))
+    return leading + math.log1p(math.exp(log_corr))
 
 
 def _log_rising(rho: float, n: int) -> float:
@@ -271,4 +325,93 @@ def prior_joint_global_shared_loop(vc: VCoefficients, n1: int, n2: int) -> PmfTa
                              + t1[n1, r1] + t2[n2, r2])
             if terms:
                 entries[(r, t)] = vc.log_v(n1, n2, r) + log_sum_exp(terms)
+    return PmfTable(entries)
+
+
+def _log_inner_sum(k: int, k1: int, k2: int, r1_star: int, r2_star: int) -> float:
+    """Combinatorial inner double sum of the joint predictive law.
+
+    sum over s* (new shared among the k new species) and k1* (new species
+    exclusive to group 1) of  k1! k2! / (s*! k1*! k2*!)
+    binom(r1*, s12) binom(r2*, s21), with k2* = k - s* - k1*,
+    s12 = k2 + k1* - k, s21 = k1 - k1* - s*; index combinations driving any
+    auxiliary count negative contribute nothing.
+    """
+    terms = []
+    base = log_factorial(k1) + log_factorial(k2)
+    for s_star in range(0, k + 1):
+        for k1_star in range(0, k - s_star + 1):
+            k2_star = k - s_star - k1_star
+            s12 = k2 + k1_star - k
+            s21 = k1 - k1_star - s_star
+            if s12 < 0 or s21 < 0 or s12 > r1_star or s21 > r2_star:
+                continue
+            terms.append(base
+                         - log_factorial(s_star) - log_factorial(k1_star)
+                         - log_factorial(k2_star)
+                         + log_binomial(r1_star, s12)
+                         + log_binomial(r2_star, s21))
+    return log_sum_exp(terms)
+
+
+def posterior_joint_new_loop(vc: VCoefficients, state: ObservedState,
+                             m1: int, m2: int) -> PmfTable:
+    """``posterior_joint_new`` one (k1, k2, k) cell at a time, each cell's
+    inner sum by the double loop over (s*, k1*)."""
+    if m1 < 0 or m2 < 0:
+        raise DomainError("future sample sizes must be >= 0")
+    g1, g2 = vc.params.gamma1, vc.params.gamma2
+    row1 = log_noncentral_row(m1, g1, g1 * state.r1 + state.n1)
+    row2 = log_noncentral_row(m2, g2, g2 * state.r2 + state.n2)
+    lr = _log_v_ratios(vc, state.n1, state.n2, state.r, m1, m2, m1 + m2)
+    entries = {}
+    for k1 in range(0, m1 + 1):
+        for k2 in range(0, m2 + 1):
+            base = row1[k1] + row2[k2]
+            if base == LOG_ZERO:
+                continue
+            for k in range(0, k1 + k2 + 1):
+                inner = _log_inner_sum(k, k1, k2, state.r1_star, state.r2_star)
+                if inner == LOG_ZERO:
+                    continue
+                entries[(k, k1, k2)] = lr[k] + base + inner
+    return PmfTable(entries)
+
+
+def posterior_marginal_global_new_loop(vc: VCoefficients, state: ObservedState,
+                                       m1: int, m2: int) -> PmfTable:
+    """``posterior_marginal_global_new`` one k at a time, each on its own
+    numpy grid over (k1*, k2*):
+
+    P(k) = (V^{r+k}_{n1+m1,n2+m2} / V^r_{n1,n2}) *
+           sum_{k1*, k2* >= 0, k1*+k2* <= k}
+           (k1*+s*)! (k2*+s*)! / (k1*! k2*! s*!)
+           prod_j |C(m_j, k_j*+s*; -g_j, -(g_j r + n_j))|,  s* = k-k1*-k2*.
+
+    The non-central shift here is gamma_j * r + n_j (global r): the marginal
+    never needs to know which of the r species each group has seen.
+    """
+    if m1 < 0 or m2 < 0:
+        raise DomainError("future sample sizes must be >= 0")
+    g1, g2 = vc.params.gamma1, vc.params.gamma2
+    row1 = log_noncentral_row(m1, g1, g1 * state.r + state.n1)
+    row2 = log_noncentral_row(m2, g2, g2 * state.r + state.n2)
+    lr = _log_v_ratios(vc, state.n1, state.n2, state.r, m1, m2, m1 + m2)
+    lf = gammaln(np.arange(m1 + m2 + 2, dtype=float))  # lf[i] = log (i-1)!
+    entries = {}
+    for k in np.flatnonzero(lr > LOG_ZERO).tolist():
+        # term(k1*, k2*) with s* = k - k1* - k2* >= 0; group j gains
+        # i_j = k - k_{j'}* species, so the grid separates into a row
+        # factor in k1*, a column factor in k2*, and the s*! coupling.
+        a = np.arange(k + 1)
+        right = np.where(k - a <= m1, row1[np.minimum(k - a, m1)] + lf[k - a + 1], LOG_ZERO)
+        down = np.where(k - a <= m2, row2[np.minimum(k - a, m2)] + lf[k - a + 1], LOG_ZERO)
+        s_grid = k - a[:, None] - a[None, :]
+        with np.errstate(invalid="ignore"):
+            grid = ((down - lf[a + 1])[:, None] + (right - lf[a + 1])[None, :]
+                    - np.where(s_grid >= 0, lf[np.maximum(s_grid, 0) + 1], np.inf))
+        grid[s_grid < 0] = LOG_ZERO
+        lse = log_sum_exp(grid.ravel())
+        if lse > LOG_ZERO:
+            entries[k] = lr[k] + lse
     return PmfTable(entries)

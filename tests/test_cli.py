@@ -298,6 +298,25 @@ def test_curve_bad_grid_is_input_error(capsys, toy_csv):
     assert "bad --grid" in err
 
 
+@pytest.mark.parametrize("argv,name", [
+    (["discover", "{ants}", "--tol", "0"], "--tol"),
+    (["discover", "{ants}", "--tol", "1"], "--tol"),
+    (["discover", "{ants}", "--max-terms", "0"], "--max-terms"),
+    (["predict", "{ants}", "--m1", "-1", "--m2", "2"], "--m1"),
+    (["predict", "{ants}", "--m1", "2", "--m2", "-3"], "--m2"),
+    (["curve", "{ants}", "--grid", "4:-1:2"], "--grid"),
+    (["simulate", "--experiment", "2", "--replications", "0"], "--replications"),
+    (["simulate", "--experiment", "1", "--grid", "abc"], "--grid"),
+    (["simulate", "--experiment", "1", "--grid", "50:40:10"], "--grid"),
+    (["simulate", "--experiment", "1", "--grid", "50:100:0"], "--grid"),
+])
+def test_bad_option_values_are_input_errors(capsys, argv, name):
+    argv = [a.format(ants=ants_csv_path()) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert f"argument {name}" in err and out == ""
+
+
 def test_simulate_experiment1_csv(capsys):
     code, out, err = run(capsys, "simulate", "--experiment", "1",
                          "--grid", "30:60:30", "--replications", "2",

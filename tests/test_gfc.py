@@ -154,3 +154,5 @@ def test_noncentral_domain():
         log_noncentral_row(3, 1.0, -0.5)
     with pytest.raises(DomainError):
         log_noncentral_row(3, 0.0, 1.0)
+    with pytest.raises(DomainError):
+        log_noncentral_row(-1, 1.0, 1.0)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from vecfdp import prediction as pred
@@ -16,6 +17,8 @@ from oracles import (
     expected_new_moments_mp,
     lattice_coverage_prob,
     log_noncentral_gfc,
+    posterior_joint_new_loop,
+    posterior_marginal_global_new_loop,
 )
 
 PARAMS = ModelParams(1.3, 0.6, OneShiftedPoisson(2.0))
@@ -164,6 +167,24 @@ def test_marginal_global_new_matches_joint(vc):
         assert marg.total_mass() == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("prior", [PointMass(5), OneShiftedPoisson(2.0)],
+                         ids=["point_mass_5", "poisson_2"])
+@pytest.mark.parametrize("state", [STATE, pred.ObservedState(5, 0, 3, 0, 3),
+                                   pred.ObservedState(0, 4, 0, 2, 2)],
+                         ids=["both", "group2_empty", "group1_empty"])
+def test_new_species_laws_match_loops(prior, state):
+    # under PointMass(5) the posterior window is the single M* = 5 - r, so
+    # the V ratios are -inf for every k past it
+    vc = VCoefficients(ModelParams(1.3, 0.6, prior))
+    for m1, m2 in ((0, 0), (1, 0), (0, 3), (2, 2), (4, 3)):
+        for law, loop in ((pred.posterior_joint_new, posterior_joint_new_loop),
+                          (pred.posterior_marginal_global_new,
+                           posterior_marginal_global_new_loop)):
+            got, want = law(vc, state, m1, m2), loop(vc, state, m1, m2)
+            assert list(got.entries) == list(want.entries)
+            np.testing.assert_allclose(got.log_mass, want.log_mass, rtol=0.0, atol=1e-12)
+
+
 def test_marginal_global_new_one_sided_reduction(vc):
     m1 = 4
     marg = pred.posterior_marginal_global_new(vc, STATE, m1, 0)
@@ -291,6 +312,15 @@ def test_shared_pmf_monte_carlo(vc):
     emp = simulate.empirical_pmf(draws, columns=(3,))
     exact = pred.shared_pmf(vc, STATE, 2, 2)
     assert simulate.tv_distance(emp, exact) < 0.02
+
+
+@pytest.mark.parametrize("law", [pred.expected_new, pred.posterior_joint_new,
+                                 pred.posterior_marginal_global_new,
+                                 pred.shared_coverage_prob])
+@pytest.mark.parametrize("m1,m2", [(-3, 2), (2, -1)])
+def test_negative_future_sizes_rejected(vc, law, m1, m2):
+    with pytest.raises(DomainError):
+        law(vc, STATE, m1, m2)
 
 
 def test_expected_new_linearity_and_zero_query(vc):

@@ -1,7 +1,9 @@
 """Properties of the predictive laws on random small states, drawn by
 hypothesis: the moment route against the joint law, coverage against the
-shared-species law, normalization and ranges."""
+shared-species law, the new-species contraction against its loop oracles,
+normalization and ranges."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +12,11 @@ from vecfdp import prediction as pred
 from vecfdp.mprior import OneShiftedPoisson
 from vecfdp.vcoef import ModelParams, VCoefficients
 
-from oracles import uncapped_coverage_prob
+from oracles import (
+    posterior_joint_new_loop,
+    posterior_marginal_global_new_loop,
+    uncapped_coverage_prob,
+)
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -65,3 +71,15 @@ def test_laws_normalized(case):
             pred.posterior_local_new(vc, state, m2, 2)]
     for law in laws:
         assert law.total_mass() == pytest.approx(1.0, abs=1e-8)
+
+
+@SETTINGS
+@given(cases())
+def test_new_species_laws_match_loops(case):
+    vc, state, m1, m2 = case
+    for law, loop in ((pred.posterior_joint_new, posterior_joint_new_loop),
+                      (pred.posterior_marginal_global_new,
+                       posterior_marginal_global_new_loop)):
+        got, want = law(vc, state, m1, m2), loop(vc, state, m1, m2)
+        assert list(got.entries) == list(want.entries)
+        np.testing.assert_allclose(got.log_mass, want.log_mass, rtol=0.0, atol=1e-12)
