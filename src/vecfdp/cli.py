@@ -114,7 +114,7 @@ def _checked(convert, ok, expected: str):
     return parse
 
 
-_tolerance = _checked(float, lambda x: 0.0 < x < 1.0, "a number in (0, 1)")
+_open_unit = _checked(float, lambda x: 0.0 < x < 1.0, "a number in (0, 1)")
 _at_least_one = _checked(int, lambda n: n >= 1, "an integer >= 1")
 _future_size = _checked(int, lambda m: m >= 0, "an integer >= 0")
 
@@ -146,7 +146,7 @@ def _size_grid(spec: str) -> tuple[int, ...]:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=_tolerance, default=1e-12,
+    p.add_argument("--tol", type=_open_unit, default=1e-12,
                    help="relative series truncation tolerance, in (0, 1)")
     p.add_argument("--max-terms", type=_at_least_one, default=10**6,
                    help="cap on series terms before a convergence error")
@@ -209,12 +209,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="benchmark experiments")
     p.add_argument("--experiment", type=int, choices=(1, 2), required=True)
-    p.add_argument("--alpha1", type=float, default=0.8)
-    p.add_argument("--alpha2", type=float, default=0.8)
-    p.add_argument("--m-true", type=int, default=60)
+    p.add_argument("--alpha1", type=_open_unit, default=0.8,
+                   help="group-1 decay rate of the true proportions, in (0, 1)")
+    p.add_argument("--alpha2", type=_open_unit, default=0.8,
+                   help="group-2 decay rate of the true proportions, in (0, 1)")
+    p.add_argument("--m-true", type=_at_least_one, default=60,
+                   help="number of species in the true population")
     p.add_argument("--grid", type=_size_grid, default="50:400:50",
                    help="experiment 1 sample sizes LO:HI:STEP")
-    p.add_argument("--n", type=int, default=400, help="experiment 2 sample size")
+    p.add_argument("--n", type=_at_least_one, default=400, help="experiment 2 sample size")
     p.add_argument("--replications", type=_at_least_one, default=20)
     _add_common(p)
 

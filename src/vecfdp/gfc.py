@@ -11,9 +11,12 @@ Methods in Discrete Distributions*)
 
 whose terms are all nonnegative for rho >= 0 (rho = gamma*r + n for observed
 counts), so there is no cancellation.  The central coefficients are the
-rho = 0 case.  ``log_noncentral_row`` streams one row of this recurrence in
-O(m) memory; it is the only code that runs it.  The in-sample laws read the
-central row n, the predictive laws a non-central row m.
+rho = 0 case.  ``log_noncentral_row`` runs this recurrence column by
+column: column k over n = k..m is a first-order linear recurrence in n fed
+by column k - 1, so one numpy pass solves it, and a row that stops at
+column K costs O(m K) time and O(m) memory.  It is the only code that runs
+the recurrence.  The in-sample laws read the central row n, the predictive
+laws a non-central row m up to the posterior window's largest unseen count.
 """
 
 from __future__ import annotations
@@ -24,13 +27,27 @@ import numpy as np
 
 from .logmath import LOG_ZERO, DomainError
 
+#: cells of the block of log factors a_j formed at once: columns times m
+_BLOCK = 1 << 16
 
-def log_noncentral_row(m: int, gamma: float, rho: float) -> np.ndarray:
-    """log |C(m, k; -gamma, -rho)| for all k = 0..m at once; rho >= 0.
 
-    Streams the all-positive recurrence from |C(0, 0)| = 1, one row n at a
-    time in a single buffer of m + 1 entries, so memory is O(m).  With
-    rho = 0 this is the central row: |C(m, 0)| = 0 for m >= 1.
+def log_noncentral_row(m: int, gamma: float, rho: float,
+                       kmax: int | None = None) -> np.ndarray:
+    """log |C(m, k; -gamma, -rho)| for k = 0..top, top = min(m, kmax); rho >= 0.
+
+    With gamma^k factored out, d(n, k) = |C(n, k)| / gamma^k satisfies
+    d(n+1, k) = d(n, k-1) + a_n d(n, k), a_n = gamma k + rho + n, from
+    d(k, k) = 1.  So column k is a weighted prefix sum of column k - 1:
+
+        log d(n, k) = P_k(n) + LSE_{i=k-1..n-1} ( log d(i, k-1) - P_k(i+1) ),
+        P_k(n) = sum_{j=k..n-1} log a_j,
+
+    one ``logaddexp.accumulate`` over n = k..m, starting from column 0,
+    log (rho)_n.  The sums P_k are formed for blocks of columns at once,
+    about ``_BLOCK`` cells each.  Column k's entry at n = m is row entry k,
+    and columns past ``kmax`` are never formed: the row's first top + 1
+    entries are those of the full row, in O(m top) time and O(m) memory.
+    With rho = 0 this is the central row: |C(m, 0)| = 0 for m >= 1.
     """
     if m < 0:
         raise DomainError(f"m must be >= 0, got {m}")
@@ -38,16 +55,29 @@ def log_noncentral_row(m: int, gamma: float, rho: float) -> np.ndarray:
         raise DomainError(f"gamma must be positive, got {gamma}")
     if rho < 0.0:
         raise DomainError(f"rho must be >= 0, got {rho}")
-    row = np.full(m + 1, LOG_ZERO)
-    row[0] = 0.0
-    log_gamma = math.log(gamma)
-    gamma_k = gamma * np.arange(m + 1, dtype=float)
+    top = m if kmax is None else min(m, kmax)
+    if top < 0:
+        raise DomainError(f"kmax must be >= 0, got {kmax}")
+    j = np.arange(m, dtype=float)
+    row = np.empty(top + 1)
+    col = np.zeros(m + 1)  # log d(n, k) for n = k..m
+    step = max(1, _BLOCK // max(m, 1))
     with np.errstate(divide="ignore"):
-        for n in range(m):
-            # row[n + 1] is still -inf, so both terms read safely
-            scaled = np.log(gamma_k[: n + 2] + (rho + n)) + row[: n + 2]
-            scaled[1:] = np.logaddexp(log_gamma + row[: n + 1], scaled[1:])
-            row[: n + 2] = scaled
+        np.cumsum(np.log(j + rho), out=col[1:])
+        row[0] = col[-1]
+        for lo in range(1, top + 1, step):
+            k = np.arange(lo, min(lo + step, top + 1))
+            # log_p[i, n - k_i] = P_{k_i}(n): the factors with j < k_i are zeroed
+            log_p = np.log(j[lo - 1:] + (gamma * k + rho)[:, None])
+            log_p[j[lo - 1:] < k[:, None]] = 0.0
+            np.cumsum(log_p, axis=1, out=log_p)
+            for i in range(k.size):
+                p = log_p[i, i:]
+                col = col[:-1] - p
+                np.logaddexp.accumulate(col, out=col)
+                col += p
+                row[lo + i] = col[-1]
+    row[1:] += np.arange(1, top + 1) * math.log(gamma)
     return row
 
 

@@ -107,8 +107,14 @@ class PmfTable:
 
     def top_entries(self, n: int) -> list:
         """The n highest-mass entries as (key, prob), most probable first;
-        ties keep the table's order."""
-        ranked = np.argsort(-self.log_mass, kind="stable")[:n]
+        ties keep the table's order.  Only the entries at or above the n-th
+        largest mass are sorted, so a long table is not sorted whole."""
+        mass = self.log_mass
+        keep = np.arange(mass.size)
+        if 0 < n < mass.size:
+            cut = mass[np.argpartition(mass, mass.size - n)[mass.size - n]]
+            keep = np.flatnonzero(mass >= cut)
+        ranked = keep[np.argsort(-mass[keep], kind="stable")[:n]]
         return [(k, math.exp(v)) for k, v in zip(_as_keys(self.keys[ranked]),
                                                  self.log_mass[ranked].tolist())]
 

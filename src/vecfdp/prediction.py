@@ -5,11 +5,13 @@ curves.
 
 All distributions condition on an observed state (n1, n2, r1, r2, r) and
 feed on two ingredients: V-coefficient ratios and non-central generalized
-factorial coefficients |C(m, k; -gamma_j, -(gamma_j r_j + n_j))|, streamed
-as whole rows in O(m) memory.  Every ratio V^{r+k}_{n1+m1,n2+m2} /
-V^r_{n1,n2} is an expectation over the posterior of the unseen species
-count M*, from one helper, :func:`_log_v_ratios`: no law subtracts two
-logs of V, which reach 10^7 at sample sizes of 10^6.
+factorial coefficients |C(m, k; -gamma_j, -(gamma_j r_j + n_j))|.  Every
+ratio V^{r+k}_{n1+m1,n2+m2} / V^r_{n1,n2} is an expectation over the
+posterior of the unseen species count M*, from one helper,
+:func:`_log_v_ratios`: no law subtracts two logs of V, which reach 10^7 at
+sample sizes of 10^6.  The ratios vanish past the window's largest M*, K
+(14 on the ants table at its fitted parameters), so each law asks for its
+rows only up to the k it reads, and a row costs O(m K) time, not O(m^2).
 
 The joint law of new species (k, k1, k2) and its global marginal k are one
 log-space contraction, :func:`_log_new_species`:
@@ -215,6 +217,13 @@ def posterior_m_mean(vc: VCoefficients, state: ObservedState) -> float:
     return math.exp(_log_v_ratios(vc, state.n1, state.n2, state.r, 0, 0, 1)[1])
 
 
+def _last_finite(lr: np.ndarray) -> int:
+    """The largest k with a nonzero V ratio: the ratios from
+    :func:`_log_v_ratios` are finite up to the window's largest M* and -inf
+    past it, so no row entry beyond this k is ever read."""
+    return int(np.count_nonzero(lr > LOG_ZERO)) - 1
+
+
 def _neg_log_factorial(n: np.ndarray) -> np.ndarray:
     """-log n! of an integer array; -inf (1/n! = 0) where n < 0."""
     return np.where(n >= 0, -gammaln(np.maximum(n, 0) + 1.0), LOG_ZERO)
@@ -232,7 +241,7 @@ def _log_new_species(lr: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarr
     sum runs over b, then over a, on blocks of k of about
     ``_LATTICE_BLOCK`` cells; a block reads only a, b up to its largest k.
     """
-    top = int(np.count_nonzero(lr > LOG_ZERO)) - 1
+    top = _last_finite(lr)
     (ni, na), (nj, nb) = x1.shape, x2.shape
     na, nb = min(na, top + 1), min(nb, top + 1)
     inv = _neg_log_factorial(np.arange(-top, 2 * top + 1))  # inv[top + n] = -log n!
@@ -280,8 +289,13 @@ def posterior_joint_new(vc: VCoefficients, state: ObservedState,
         raise DomainError("future sample sizes must be >= 0")
     g1, g2 = vc.params.gamma1, vc.params.gamma2
     lr = _log_v_ratios(vc, state.n1, state.n2, state.r, m1, m2, m1 + m2)
-    x1 = _local_rows(log_noncentral_row(m1, g1, g1 * state.r1 + state.n1), state.r2_star)
-    x2 = _local_rows(log_noncentral_row(m2, g2, g2 * state.r2 + state.n2), state.r1_star)
+    top = _last_finite(lr)
+    # k_j = a + (k_j - a) with a <= k <= top brand-new species and
+    # k_j - a <= r_other* seen only in the other group
+    x1 = _local_rows(log_noncentral_row(m1, g1, g1 * state.r1 + state.n1,
+                                        kmax=top + state.r2_star), state.r2_star)
+    x2 = _local_rows(log_noncentral_row(m2, g2, g2 * state.r2 + state.n2,
+                                        kmax=top + state.r1_star), state.r1_star)
     law = _log_new_species(lr, x1, x2).transpose(1, 2, 0)  # [k1, k2, k]
     k1, k2, k = np.indices(law.shape)
     return PmfTable.from_arrays(np.stack([k, k1, k2], axis=-1).reshape(-1, 3), law.ravel())
@@ -305,8 +319,10 @@ def posterior_marginal_global_new(vc: VCoefficients, state: ObservedState,
         raise DomainError("future sample sizes must be >= 0")
     g1, g2 = vc.params.gamma1, vc.params.gamma2
     lr = _log_v_ratios(vc, state.n1, state.n2, state.r, m1, m2, m1 + m2)
-    x1 = log_noncentral_row(m1, g1, g1 * state.r + state.n1) + gammaln(np.arange(m1 + 1.0) + 1)
-    x2 = log_noncentral_row(m2, g2, g2 * state.r + state.n2) + gammaln(np.arange(m2 + 1.0) + 1)
+    top = _last_finite(lr)
+    x1, x2 = (row + gammaln(np.arange(row.size) + 1.0) for row in (
+        log_noncentral_row(m1, g1, g1 * state.r + state.n1, kmax=top),
+        log_noncentral_row(m2, g2, g2 * state.r + state.n2, kmax=top)))
     law = _log_new_species(lr, x1[None], x2[None])[:, 0, 0]
     return PmfTable.from_arrays(np.arange(law.size), law)
 
@@ -327,10 +343,10 @@ def posterior_local_new(vc: VCoefficients, state: ObservedState, m: int,
     gamma = vc.params.gamma(group)
     n_j = state.n1 if group == 1 else state.n2
     r_j = state.r1 if group == 1 else state.r2
-    row = log_noncentral_row(m, gamma, gamma * r_j + n_j)
     sizes = (n_j, 0, r_j, m, 0) if group == 1 else (0, n_j, r_j, 0, m)
     lr = _log_v_ratios(vc, *sizes, m)
-    return PmfTable.from_arrays(np.arange(m + 1), lr + row)
+    row = log_noncentral_row(m, gamma, gamma * r_j + n_j, kmax=_last_finite(lr))
+    return PmfTable.from_arrays(np.arange(row.size), lr[: row.size] + row)
 
 
 def shared_coverage_prob(vc: VCoefficients, state: ObservedState,
@@ -342,22 +358,25 @@ def shared_coverage_prob(vc: VCoefficients, state: ObservedState,
                prod_j |C(m_j, k_j; -g_j, -(g_j r_j + n_j))|
 
     The V ratios depend on the cell only through k1 + k2 and vanish past
-    the posterior window's largest M*, so one :func:`_log_v_ratios` call
-    serves the cells up to it, summed in log space on blocks of about
-    ``_LATTICE_BLOCK`` cells: O(m1 m2) time at most, O(m1 + m2) memory.
-    Where no new shared species can appear the sum is exactly one, and
-    rounding can lift it a few dozen ulps above; it is capped at one.
+    the posterior window's largest M*, K (14 on the ants table at its
+    fitted parameters).  So one :func:`_log_v_ratios` call comes first, and
+    each row runs its recurrence only up to column K.  The lattice's
+    (K + 1) x (K + 1) corner is summed in log space, on blocks of about
+    ``_LATTICE_BLOCK`` cells; its cells past k1 + k2 = K add zero.  That is
+    O((m1 + m2) K + K^2) time and O(m1 + m2) memory.  Where no new shared species can appear the sum is
+    exactly one, and rounding can lift it a few dozen ulps above; it is
+    capped at one.
     """
     g1, g2 = vc.params.gamma1, vc.params.gamma2
-    row1 = log_noncentral_row(m1, g1, g1 * state.r1 + state.n1)
-    row2 = log_noncentral_row(m2, g2, g2 * state.r2 + state.n2)
     lr = _log_v_ratios(vc, state.n1, state.n2, state.r, m1, m2, m1 + m2)
-    top = int(np.count_nonzero(lr > LOG_ZERO)) - 1
-    k2 = np.arange(min(m2, top) + 1)
+    top = _last_finite(lr)
+    row1 = log_noncentral_row(m1, g1, g1 * state.r1 + state.n1, kmax=top)
+    row2 = log_noncentral_row(m2, g2, g2 * state.r2 + state.n2, kmax=top)
+    k2 = np.arange(row2.size)
     step = max(1, _LATTICE_BLOCK // k2.size)
     parts = []
-    for lo in range(0, min(m1, top) + 1, step):
-        k1 = np.arange(lo, min(lo + step, m1 + 1, top + 1))[:, None]
+    for lo in range(0, row1.size, step):
+        k1 = np.arange(lo, min(lo + step, row1.size))[:, None]
         parts.append(log_sum_exp(row1[k1] + row2[k2] + lr[k1 + k2]))
     return min(1.0, math.exp(log_sum_exp(parts)))
 

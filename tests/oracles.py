@@ -2,7 +2,9 @@
 
 Each is a slower, independent route to a quantity the package computes
 another way: non-central GFC values by the binomial convolution over a
-central table, the coverage probability by a Python loop over every
+central table, whole non-central rows by the recurrence run row by row
+(the package runs it column by column, and the laws below read these
+rows), the coverage probability by a Python loop over every
 lattice cell with one cached V lookup per cell, the moment route of the
 expected new-species counts by a loop over the posterior support in scalar
 arithmetic and by the same sum in mpmath arithmetic, and the in-sample
@@ -23,7 +25,7 @@ import mpmath
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from vecfdp.gfc import build_central_table, log_noncentral_row
+from vecfdp.gfc import build_central_table
 from vecfdp.logmath import LOG_ZERO, DomainError, log_pochhammer, log_sum_exp
 from vecfdp.pmftable import PmfTable
 from vecfdp.prediction import (
@@ -119,6 +121,25 @@ def log_noncentral_gfc(m: int, k: int, gamma: float, rho: float) -> float:
     return float(logsumexp(terms)) if terms else LOG_ZERO
 
 
+def log_noncentral_row_stream(m: int, gamma: float, rho: float) -> np.ndarray:
+    """log |C(m, k; -gamma, -rho)| for all k = 0..m, by the recurrence row
+    by row: one row n at a time in a single buffer of m + 1 entries, a log
+    and a logaddexp per step over the row prefix, O(m^2) time."""
+    if m < 0:
+        raise DomainError(f"m must be >= 0, got {m}")
+    row = np.full(m + 1, LOG_ZERO)
+    row[0] = 0.0
+    log_gamma = math.log(gamma)
+    gamma_k = gamma * np.arange(m + 1, dtype=float)
+    with np.errstate(divide="ignore"):
+        for n in range(m):
+            # row[n + 1] is still -inf, so both terms read safely
+            scaled = np.log(gamma_k[: n + 2] + (rho + n)) + row[: n + 2]
+            scaled[1:] = np.logaddexp(log_gamma + row[: n + 1], scaled[1:])
+            row[: n + 2] = scaled
+    return row
+
+
 def lattice_coverage_prob(vc: VCoefficients, state: ObservedState,
                           m1: int, m2: int, row1, row2) -> float:
     """P(S = 0) summed cell by cell over the (m1 + 1) x (m2 + 1) lattice,
@@ -139,8 +160,8 @@ def uncapped_coverage_prob(vc: VCoefficients, state: ObservedState,
     """The coverage lattice's sum before ``shared_coverage_prob`` caps it
     at one: every cell at once, from the same rows and V ratios."""
     g1, g2 = vc.params.gamma1, vc.params.gamma2
-    row1 = log_noncentral_row(m1, g1, g1 * state.r1 + state.n1)
-    row2 = log_noncentral_row(m2, g2, g2 * state.r2 + state.n2)
+    row1 = log_noncentral_row_stream(m1, g1, g1 * state.r1 + state.n1)
+    row2 = log_noncentral_row_stream(m2, g2, g2 * state.r2 + state.n2)
     lr = _log_v_ratios(vc, state.n1, state.n2, state.r, m1, m2, m1 + m2)
     k1, k2 = np.ogrid[:m1 + 1, :m2 + 1]
     return math.exp(log_sum_exp((row1[k1] + row2[k2] + lr[k1 + k2]).ravel()))
@@ -361,8 +382,8 @@ def posterior_joint_new_loop(vc: VCoefficients, state: ObservedState,
     if m1 < 0 or m2 < 0:
         raise DomainError("future sample sizes must be >= 0")
     g1, g2 = vc.params.gamma1, vc.params.gamma2
-    row1 = log_noncentral_row(m1, g1, g1 * state.r1 + state.n1)
-    row2 = log_noncentral_row(m2, g2, g2 * state.r2 + state.n2)
+    row1 = log_noncentral_row_stream(m1, g1, g1 * state.r1 + state.n1)
+    row2 = log_noncentral_row_stream(m2, g2, g2 * state.r2 + state.n2)
     lr = _log_v_ratios(vc, state.n1, state.n2, state.r, m1, m2, m1 + m2)
     entries = {}
     for k1 in range(0, m1 + 1):
@@ -394,8 +415,8 @@ def posterior_marginal_global_new_loop(vc: VCoefficients, state: ObservedState,
     if m1 < 0 or m2 < 0:
         raise DomainError("future sample sizes must be >= 0")
     g1, g2 = vc.params.gamma1, vc.params.gamma2
-    row1 = log_noncentral_row(m1, g1, g1 * state.r + state.n1)
-    row2 = log_noncentral_row(m2, g2, g2 * state.r + state.n2)
+    row1 = log_noncentral_row_stream(m1, g1, g1 * state.r + state.n1)
+    row2 = log_noncentral_row_stream(m2, g2, g2 * state.r + state.n2)
     lr = _log_v_ratios(vc, state.n1, state.n2, state.r, m1, m2, m1 + m2)
     lf = gammaln(np.arange(m1 + m2 + 2, dtype=float))  # lf[i] = log (i-1)!
     entries = {}

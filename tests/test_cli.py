@@ -309,6 +309,12 @@ def test_curve_bad_grid_is_input_error(capsys, toy_csv):
     (["simulate", "--experiment", "1", "--grid", "abc"], "--grid"),
     (["simulate", "--experiment", "1", "--grid", "50:40:10"], "--grid"),
     (["simulate", "--experiment", "1", "--grid", "50:100:0"], "--grid"),
+    (["simulate", "--experiment", "2", "--n", "-3"], "--n"),
+    (["simulate", "--experiment", "2", "--n", "0"], "--n"),
+    (["simulate", "--experiment", "1", "--m-true", "0"], "--m-true"),
+    (["simulate", "--experiment", "1", "--alpha1", "0"], "--alpha1"),
+    (["simulate", "--experiment", "1", "--alpha1", "1.5"], "--alpha1"),
+    (["simulate", "--experiment", "2", "--alpha2", "1"], "--alpha2"),
 ])
 def test_bad_option_values_are_input_errors(capsys, argv, name):
     argv = [a.format(ants=ants_csv_path()) for a in argv]
@@ -419,25 +425,30 @@ def test_cli_import_leaves_out_scipy_stats():
 
 
 def test_predict_large_future_small_memory():
-    # the coverage lattice of a 3000 x 3000 future is summed in blocks; an
+    # futures of 3000 x 3000 and 10^4 x 10^4: the rows stop at the
+    # posterior window and the coverage lattice is summed in blocks; an
     # O(m^2) buffer of rows or cells would take hundreds of MB here
     src = str(Path(vecfdp.__file__).resolve().parents[1])
     probe = (
         "import contextlib, io, json, resource\n"
         "from vecfdp.abundance import ants_csv_path\n"
         "from vecfdp.cli import main\n"
-        "out = io.StringIO()\n"
-        "with contextlib.redirect_stdout(out):\n"
-        "    code = main(['predict', str(ants_csv_path()), '--m1', '3000', '--m2', '3000'])\n"
+        "results = []\n"
+        "for m in ('3000', '10000'):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = main(['predict', str(ants_csv_path()), '--m1', m, '--m2', m])\n"
+        "    results.append({'code': code,\n"
+        "                    'coverage': json.loads(out.getvalue())['coverage_prob']['value']})\n"
         "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "print(json.dumps({'code': code, 'rss_kb': rss,\n"
-        "                  'coverage': json.loads(out.getvalue())['coverage_prob']['value']}))\n"
+        "print(json.dumps({'results': results, 'rss_kb': rss}))\n"
     )
     done = subprocess.run([sys.executable, "-c", probe], check=True,
                           capture_output=True, text=True, cwd=src, timeout=300)
     result = json.loads(done.stdout)
-    assert result["code"] == 0
-    assert 0.0 < result["coverage"] < 1.0
+    for each in result["results"]:
+        assert each["code"] == 0
+        assert 0.0 < each["coverage"] < 1.0
     assert result["rss_kb"] < 250 * 1024
 
 

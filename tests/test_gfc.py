@@ -119,16 +119,19 @@ def test_noncentral_row_matches_scalar():
             log_noncentral_gfc(7, k, gamma, rho), abs=1e-12)
 
 
-def mp_noncentral_row(m: int, gamma: float, rho: float) -> list[float]:
-    """log |C(m, k; -gamma, -rho)|, k = 0..m, by the all-positive
-    recurrence in 50-digit arithmetic."""
+def mp_noncentral_row(m: int, gamma: float, rho: float,
+                      kmax: int | None = None) -> list[float]:
+    """log |C(m, k; -gamma, -rho)|, k = 0..min(m, kmax), by the all-positive
+    recurrence in 50-digit arithmetic, row by row; entries past kmax are
+    never formed, since no column reads a later one."""
+    top = m if kmax is None else min(m, kmax)
     with mpmath.workdps(50):
         g, r = mpmath.mpf(gamma), mpmath.mpf(rho)
         row = [mpmath.mpf(1)]
         for n in range(m):
             row = [(g * row[k - 1] if k > 0 else 0)
                    + ((g * k + r + n) * row[k] if k <= n else 0)
-                   for k in range(n + 2)]
+                   for k in range(min(n + 1, top) + 1)]
         return [float(mpmath.log(c)) for c in row]
 
 
@@ -145,6 +148,21 @@ def test_noncentral_row_against_mpmath_recurrence():
                                    rtol=0.0, atol=1e-10)
 
 
+@pytest.mark.parametrize("kmax", [14, 40])
+def test_truncated_row_against_mpmath_recurrence(kmax):
+    # a future of 2000 on both ants groups, cut where the coverage of the
+    # fitted model stops reading (14) and further out (40)
+    table = ants_table()
+    params = fit_all(table).params
+    for gamma, r_j, n_j in ((params.gamma1, table.r1, table.n1),
+                            (params.gamma2, table.r2, table.n2)):
+        rho = gamma * r_j + n_j
+        row = log_noncentral_row(2000, gamma, rho, kmax=kmax)
+        assert row.size == kmax + 1
+        np.testing.assert_allclose(row, mp_noncentral_row(2000, gamma, rho, kmax),
+                                   rtol=0.0, atol=1e-10)
+
+
 def test_noncentral_domain():
     with pytest.raises(DomainError):
         log_noncentral_gfc(3, 4, 1.0, 1.0)
@@ -156,3 +174,5 @@ def test_noncentral_domain():
         log_noncentral_row(3, 0.0, 1.0)
     with pytest.raises(DomainError):
         log_noncentral_row(-1, 1.0, 1.0)
+    with pytest.raises(DomainError):
+        log_noncentral_row(3, 1.0, 1.0, kmax=-1)

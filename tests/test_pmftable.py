@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vecfdp.logmath import LOG_ZERO
 from vecfdp.pmftable import PmfTable, shared_marginal
@@ -84,6 +86,17 @@ def test_array_reductions_match_dict_definitions(random_table):
 def test_top_entries_keep_key_order_on_ties(random_table, n):
     table, entries = random_table
     assert table.top_entries(n) == dict_top(entries, n)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.lists(st.sampled_from([-0.5, -1.0, -2.0, -3.5, LOG_ZERO]), max_size=60),
+       st.integers(0, 70))
+def test_top_entries_match_full_stable_sort(log_mass, n):
+    # few distinct masses, so most entries tie; -inf entries are dropped
+    table = PmfTable.from_arrays(np.arange(len(log_mass)), log_mass)
+    ranked = np.argsort(-table.log_mass, kind="stable")[:n]
+    want = [(int(k), math.exp(v)) for k, v in zip(table.keys[ranked], table.log_mass[ranked])]
+    assert table.top_entries(n) == want
 
 
 def test_marginal_negative_values_and_empty_table():

@@ -7,7 +7,6 @@ from vecfdp import prediction as pred
 from vecfdp import simulate
 from vecfdp.abundance import ants_table
 from vecfdp.estimation import fit_all
-from vecfdp.gfc import log_noncentral_row
 from vecfdp.logmath import LOG_ZERO, DomainError, log_pochhammer
 from vecfdp.mprior import OneShiftedPoisson, PointMass
 from vecfdp.vcoef import ModelParams, VCoefficients, log_v
@@ -17,6 +16,7 @@ from oracles import (
     expected_new_moments_mp,
     lattice_coverage_prob,
     log_noncentral_gfc,
+    log_noncentral_row_stream,
     posterior_joint_new_loop,
     posterior_marginal_global_new_loop,
 )
@@ -251,8 +251,10 @@ def test_coverage_matches_lattice_oracle(ants, lam, m1, m2):
         params = ModelParams(params.gamma1, params.gamma2, OneShiftedPoisson(lam))
     got = pred.shared_coverage_prob(VCoefficients(params), state, m1, m2)
     g1, g2 = params.gamma1, params.gamma2
-    row1 = log_noncentral_row(m1, g1, g1 * state.r1 + state.n1)
-    row2 = log_noncentral_row(m2, g2, g2 * state.r2 + state.n2)
+    # whole rows, run row by row: the oracle shares no code with the
+    # truncated column recurrence that the law runs
+    row1 = log_noncentral_row_stream(m1, g1, g1 * state.r1 + state.n1)
+    row2 = log_noncentral_row_stream(m2, g2, g2 * state.r2 + state.n2)
     # a fresh cache: every V of the oracle comes from its own scalar series
     want = lattice_coverage_prob(VCoefficients(params), state, m1, m2, row1, row2)
     assert got == pytest.approx(want, rel=1e-10)

@@ -1,7 +1,7 @@
 """Properties of the predictive laws on random small states, drawn by
 hypothesis: the moment route against the joint law, coverage against the
 shared-species law, the new-species contraction against its loop oracles,
-normalization and ranges."""
+normalization and ranges; and of the truncated GFC rows they read."""
 
 import numpy as np
 import pytest
@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vecfdp import prediction as pred
+from vecfdp.gfc import log_noncentral_row
 from vecfdp.mprior import OneShiftedPoisson
 from vecfdp.vcoef import ModelParams, VCoefficients
 
 from oracles import (
+    log_noncentral_row_stream,
     posterior_joint_new_loop,
     posterior_marginal_global_new_loop,
     uncapped_coverage_prob,
@@ -83,3 +85,16 @@ def test_new_species_laws_match_loops(case):
         got, want = law(vc, state, m1, m2), loop(vc, state, m1, m2)
         assert list(got.entries) == list(want.entries)
         np.testing.assert_allclose(got.log_mass, want.log_mass, rtol=0.0, atol=1e-12)
+
+
+@SETTINGS
+@given(st.integers(0, 80), st.floats(0.05, 5.0),
+       st.one_of(st.just(0.0), st.floats(0.0, 2000.0)), st.integers(0, 90))
+def test_truncated_row_is_prefix_of_full_row(m, gamma, rho, kmax):
+    row = log_noncentral_row(m, gamma, rho, kmax)
+    full = log_noncentral_row(m, gamma, rho)
+    assert row.size == min(m, kmax) + 1
+    # truncation changes no entry
+    np.testing.assert_array_equal(row, full[:row.size])
+    np.testing.assert_allclose(row, log_noncentral_row_stream(m, gamma, rho)[:row.size],
+                               rtol=0.0, atol=1e-12)
