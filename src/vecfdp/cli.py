@@ -29,7 +29,6 @@ from .prediction import (
     ObservedState,
     expected_new,
     extrapolation_curves,
-    one_step_discovery_prob,
     one_step_shared_pmf,
     posterior_m_mean,
     posterior_m_pmf,
@@ -303,7 +302,8 @@ def _cmd_discover(args) -> dict:
         "input": {"path": args.table, **table.summary()},
         "params": meta,
         "one_step_shared_pmf": {str(s): _prob(pmf.prob(s)) for s in (0, 1, 2)},
-        "discovery_prob": _prob(one_step_discovery_prob(vc, state)),
+        # one_step_discovery_prob's sum, on the pmf above: no second pass
+        "discovery_prob": _prob(pmf.prob(1) + pmf.prob(2)),
         "pair_probs": pair.as_dict(),
         "pair_normalizer_ratio": pair.normalizer_ratio,
     }

@@ -11,11 +11,13 @@ Methods in Discrete Distributions*)
 
 whose terms are all nonnegative for rho >= 0 (rho = gamma*r + n for observed
 counts), so there is no cancellation.  The central coefficients are the
-rho = 0 case.  ``log_noncentral_row`` runs this recurrence column by
-column: column k over n = k..m is a first-order linear recurrence in n fed
-by column k - 1, so one numpy pass solves it, and a row that stops at
-column K costs O(m K) time and O(m) memory.  It is the only code that runs
-the recurrence.  The in-sample laws read the central row n, the predictive
+rho = 0 case.  ``_log_columns`` runs this recurrence column by column:
+column k over n = k..m is a first-order linear recurrence in n fed by
+column k - 1, so one numpy pass solves it.  It is the only code that runs
+the recurrence.  ``log_noncentral_row`` keeps each column's last entry, so
+a row that stops at column K costs O(m K) time and O(m) memory;
+``build_central_table`` keeps whole columns, so every row up to m comes
+from one pass.  The in-sample laws read the central row n, the predictive
 laws a non-central row m up to the posterior window's largest unseen count.
 """
 
@@ -31,9 +33,9 @@ from .logmath import LOG_ZERO, DomainError
 _BLOCK = 1 << 16
 
 
-def log_noncentral_row(m: int, gamma: float, rho: float,
-                       kmax: int | None = None) -> np.ndarray:
-    """log |C(m, k; -gamma, -rho)| for k = 0..top, top = min(m, kmax); rho >= 0.
+def _log_columns(m: int, gamma: float, rho: float, top: int, emit) -> None:
+    """Solve the recurrence column by column for k = 0..top and hand each
+    column to ``emit(k, col)``, col[i] = log d(k + i, k) for n = k..m.
 
     With gamma^k factored out, d(n, k) = |C(n, k)| / gamma^k satisfies
     d(n+1, k) = d(n, k-1) + a_n d(n, k), a_n = gamma k + rho + n, from
@@ -44,27 +46,20 @@ def log_noncentral_row(m: int, gamma: float, rho: float,
 
     one ``logaddexp.accumulate`` over n = k..m, starting from column 0,
     log (rho)_n.  The sums P_k are formed for blocks of columns at once,
-    about ``_BLOCK`` cells each.  Column k's entry at n = m is row entry k,
-    and columns past ``kmax`` are never formed: the row's first top + 1
-    entries are those of the full row, in O(m top) time and O(m) memory.
-    With rho = 0 this is the central row: |C(m, 0)| = 0 for m >= 1.
+    about ``_BLOCK`` cells each.  Every step is a prefix scan, so a column's
+    entries up to n do not depend on m.  Memory is O(m) beyond what
+    ``emit`` keeps.
     """
-    if m < 0:
-        raise DomainError(f"m must be >= 0, got {m}")
     if gamma <= 0.0:
         raise DomainError(f"gamma must be positive, got {gamma}")
     if rho < 0.0:
         raise DomainError(f"rho must be >= 0, got {rho}")
-    top = m if kmax is None else min(m, kmax)
-    if top < 0:
-        raise DomainError(f"kmax must be >= 0, got {kmax}")
     j = np.arange(m, dtype=float)
-    row = np.empty(top + 1)
-    col = np.zeros(m + 1)  # log d(n, k) for n = k..m
+    col = np.zeros(m + 1)
     step = max(1, _BLOCK // max(m, 1))
     with np.errstate(divide="ignore"):
         np.cumsum(np.log(j + rho), out=col[1:])
-        row[0] = col[-1]
+        emit(0, col)
         for lo in range(1, top + 1, step):
             k = np.arange(lo, min(lo + step, top + 1))
             # log_p[i, n - k_i] = P_{k_i}(n): the factors with j < k_i are zeroed
@@ -76,19 +71,48 @@ def log_noncentral_row(m: int, gamma: float, rho: float,
                 col = col[:-1] - p
                 np.logaddexp.accumulate(col, out=col)
                 col += p
-                row[lo + i] = col[-1]
+                emit(lo + i, col)
+
+
+def log_noncentral_row(m: int, gamma: float, rho: float,
+                       kmax: int | None = None) -> np.ndarray:
+    """log |C(m, k; -gamma, -rho)| for k = 0..top, top = min(m, kmax); rho >= 0.
+
+    Entry k is the last entry, n = m, of column k of :func:`_log_columns`,
+    times gamma^k.  Columns past ``kmax`` are never formed: the row's first
+    top + 1 entries are those of the full row, in O(m top) time and O(m)
+    memory.  With rho = 0 this is the central row: |C(m, 0)| = 0 for m >= 1.
+    """
+    if m < 0:
+        raise DomainError(f"m must be >= 0, got {m}")
+    top = m if kmax is None else min(m, kmax)
+    if top < 0:
+        raise DomainError(f"kmax must be >= 0, got {kmax}")
+    row = np.empty(top + 1)
+
+    def emit(k, col):
+        row[k] = col[-1]
+
+    _log_columns(m, gamma, rho, top, emit)
     row[1:] += np.arange(1, top + 1) * math.log(gamma)
     return row
 
 
 def build_central_table(gamma: float, max_n: int) -> np.ndarray:
     """Table of log |C(n, k; -gamma)|, indexed [n, k] for 0 <= n, k <= max_n;
-    -inf above the diagonal and at k = 0 < n.  Row n is the central row
-    ``log_noncentral_row(n, gamma, 0.0)``, which also rejects gamma <= 0.
+    -inf above the diagonal and at k = 0 < n.
+
+    One pass of :func:`_log_columns` for row max_n fills it: column k holds
+    the entries at every n = k..max_n, so the table costs O(max_n^2), and
+    row n equals ``log_noncentral_row(n, gamma, 0.0)`` bit for bit.
     """
     if max_n < 0:
         raise DomainError(f"max_n must be >= 0, got {max_n}")
     table = np.full((max_n + 1, max_n + 1), LOG_ZERO)
-    for n in range(max_n + 1):
-        table[n, : n + 1] = log_noncentral_row(n, gamma, 0.0)
+
+    def emit(k, col):
+        table[k:, k] = col
+
+    _log_columns(max_n, gamma, 0.0, max_n, emit)
+    table[:, 1:] += np.arange(1, max_n + 1) * math.log(gamma)
     return table

@@ -9,9 +9,12 @@ factorial coefficients |C(m, k; -gamma_j, -(gamma_j r_j + n_j))|.  Every
 ratio V^{r+k}_{n1+m1,n2+m2} / V^r_{n1,n2} is an expectation over the
 posterior of the unseen species count M*, from one helper,
 :func:`_log_v_ratios`: no law subtracts two logs of V, which reach 10^7 at
-sample sizes of 10^6.  The ratios vanish past the window's largest M*, K
-(14 on the ants table at its fitted parameters), so each law asks for its
-rows only up to the k it reads, and a row costs O(m K) time, not O(m^2).
+sample sizes of 10^6.  The posterior is read on a window,
+:meth:`VCoefficients.posterior`: the V series cut at both ends to all but
+tol of its mass, which moves a probability by at most tol.  The ratios
+vanish past the window's largest M*, K (4 on the ants table at its fitted
+parameters), so each law asks for its rows only up to the k it reads, and
+a row costs O(m K) time, not O(m^2).
 
 The joint law of new species (k, k1, k2) and its global marginal k are one
 log-space contraction, :func:`_log_new_species`:
@@ -123,19 +126,6 @@ def posterior_m_pmf(vc: VCoefficients, state: ObservedState) -> PmfTable:
     return PmfTable.from_arrays(m - state.r, terms - log_norm)
 
 
-def _posterior(vc: VCoefficients, n1: int, n2: int, r: int):
-    """(m*, log weights) of the posterior of M* given sizes (n1, n2) and r
-    species, over the V^r_{n1,n2} series' window: its nonzero terms shifted
-    by their peak, so the rounding of log V (2e-9 at |log V| = 10^7) stays
-    out of them."""
-    _, m, terms = vc.v_series(n1, n2, r)
-    keep = terms > LOG_ZERO
-    if not keep.any():
-        raise DomainError(f"V^{r}_({n1},{n2}) is zero under this prior")
-    terms = terms[keep]
-    return (m[keep] - r).astype(float), terms - terms.max()
-
-
 def _stirling_gap(z, a):
     """The series part of log Gamma(z + a) - log Gamma(z), z >= ``_DIRECT``."""
     return sum(c * ((z + a) ** (1 - 2 * j) - z ** (1 - 2 * j))
@@ -176,16 +166,19 @@ def _log_v_ratios(vc: VCoefficients, n1: int, n2: int, r: int,
 
         E[(M*)_{k fall} / prod_j (g_j (r + M*) + n_j)_{m_j} | n1, n2, r]
 
-    No two logs of V (up to 10^7 in size) are subtracted.  Each ratio is
-    the weighted sum over the weights' own sum, taken the same way, so
-    k = 0 at m1 = m2 = 0 gives exactly 0; past the window's largest M* the
-    entries are -inf.  An entry's error is absolute, bounded by the
-    posterior mass left out past the window: at k near m1 + m2 on a short
-    window, where (M*)_{k fall} weighs that tail most, a tiny entry can
-    lose much of its relative accuracy.  The (k, M*) matrix is reduced on
-    blocks of about ``_LATTICE_BLOCK`` cells.
+    over the window of :meth:`VCoefficients.posterior`.  No two logs of V
+    (up to 10^7 in size) are subtracted.  Each ratio is the weighted sum
+    over the weights' own sum, taken the same way, so k = 0 at
+    m1 = m2 = 0 gives exactly 0; past the window's largest M* the entries
+    are -inf.  An entry's error is absolute, bounded by the posterior mass
+    left out of the window: the series' own truncation, plus at most tol
+    from the cut at its two ends.  A law that weighs these entries into a
+    probability therefore moves by at most about tol.  At k near m1 + m2,
+    where (M*)_{k fall} weighs the upper tail most, a tiny entry can lose
+    much of its relative accuracy.  The (k, M*) matrix is reduced on blocks
+    of about ``_LATTICE_BLOCK`` cells.
     """
-    m_star, lw = _posterior(vc, n1, n2, r)
+    m_star, lw = vc.posterior(n1, n2, r)
     tilted = lw.copy()
     for g, n, m in ((vc.params.gamma1, n1, m1), (vc.params.gamma2, n2, m2)):
         if m:
@@ -358,7 +351,7 @@ def shared_coverage_prob(vc: VCoefficients, state: ObservedState,
                prod_j |C(m_j, k_j; -g_j, -(g_j r_j + n_j))|
 
     The V ratios depend on the cell only through k1 + k2 and vanish past
-    the posterior window's largest M*, K (14 on the ants table at its
+    the posterior window's largest M*, K (4 on the ants table at its
     fitted parameters).  So one :func:`_log_v_ratios` call comes first, and
     each row runs its recurrence only up to column K.  The lattice's
     (K + 1) x (K + 1) corner is summed in log space, on blocks of about
@@ -445,7 +438,7 @@ def expected_new(vc: VCoefficients, state: ObservedState,
     """
     if m1 < 0 or m2 < 0:
         raise DomainError("future sample sizes must be >= 0")
-    m_star, lw = _posterior(vc, state.n1, state.n2, state.r)
+    m_star, lw = vc.posterior(state.n1, state.n2, state.r)
     q = np.exp(lw)
     q /= q.sum()
     g1, g2 = vc.params.gamma1, vc.params.gamma2

@@ -246,17 +246,33 @@ class Experiment1Config:
     mode: str = "plug_in"
 
 
-def _quartile_rows(scenario: str, n: int, estimates: dict[str, list[float]]):
-    rows = []
-    for method, values in estimates.items():
-        arr = np.asarray(values, dtype=float)
-        rows.append({
-            "scenario": scenario, "n": n, "method": method,
-            "median": float(np.median(arr)),
-            "q1": float(np.quantile(arr, 0.25)),
-            "q3": float(np.quantile(arr, 0.75)),
-        })
-    return rows
+def _quartiles(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(median, first quartile, third quartile) along the last axis of
+    ``values``: one call each for a whole experiment's table."""
+    arr = np.asarray(values, dtype=float)
+    q1, q3 = np.quantile(arr, (0.25, 0.75), axis=-1)
+    return np.median(arr, axis=-1), q1, q3
+
+
+def _quartile_rows(scenario: str, per_n: dict[int, dict[str, list[float]]]):
+    """Experiment 1's rows: per (n, method) medians and quartiles."""
+    methods = list(next(iter(per_n.values())))
+    med, q1, q3 = _quartiles([[per_n[n][m] for m in methods] for n in per_n])
+    return [{"scenario": scenario, "n": n, "method": method,
+             "median": float(med[i, j]), "q1": float(q1[i, j]), "q3": float(q3[i, j])}
+            for i, n in enumerate(per_n) for j, method in enumerate(methods)]
+
+
+def _split_rows(scenario: str, per_split: dict[float, dict[str, list[float]]]):
+    """Experiment 2's rows: per-split medians and quartiles of the
+    prediction, the median target and the median signed error."""
+    med, q1, q3 = _quartiles([[data["predicted"], data["true"], data["error"]]
+                              for data in per_split.values()])
+    return [{"scenario": scenario, "split": pct,
+             "predicted_median": float(med[i, 0]), "predicted_q1": float(q1[i, 0]),
+             "predicted_q3": float(q3[i, 0]), "true_median": float(med[i, 1]),
+             "error_median": float(med[i, 2])}
+            for i, pct in enumerate(per_split)]
 
 
 def run_experiment1(config: Experiment1Config) -> list[dict]:
@@ -295,10 +311,7 @@ def run_experiment1(config: Experiment1Config) -> list[dict]:
             vc = VCoefficients(params)
             state = ObservedState.from_abundance(table)
             per_n[n]["proposed"].append(one_step_discovery_prob(vc, state))
-    rows = []
-    for n in config.grid:
-        rows.extend(_quartile_rows(scenario, n, per_n[n]))
-    return rows
+    return _quartile_rows(scenario, per_n)
 
 
 @dataclass(frozen=True)
@@ -355,18 +368,4 @@ def run_experiment2(config: Experiment2Config) -> list[dict]:
             per_split[pct]["predicted"].append(predicted)
             per_split[pct]["true"].append(float(s_true))
             per_split[pct]["error"].append(predicted - s_true)
-    rows = []
-    for pct in config.splits:
-        data = per_split[pct]
-        pred_arr = np.asarray(data["predicted"])
-        true_arr = np.asarray(data["true"])
-        err_arr = np.asarray(data["error"])
-        rows.append({
-            "scenario": scenario, "split": pct,
-            "predicted_median": float(np.median(pred_arr)),
-            "predicted_q1": float(np.quantile(pred_arr, 0.25)),
-            "predicted_q3": float(np.quantile(pred_arr, 0.75)),
-            "true_median": float(np.median(true_arr)),
-            "error_median": float(np.median(err_arr)),
-        })
-    return rows
+    return _split_rows(scenario, per_split)

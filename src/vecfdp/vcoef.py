@@ -146,11 +146,11 @@ class VCoefficients:
     """Memoizing evaluator of log V for one fixed parameter triple.
 
     One cache, keyed (n1, n2, r), holds the whole series of a key summed on
-    its own (the predictive laws read it as the posterior of the unseen
-    species count) and the bare total of a key summed in a
-    :meth:`log_v_many` batch.  A single-group coefficient is the key with
-    the other size zero.  Insertion is idempotent, so concurrent
-    recomputation of a key is harmless.
+    its own, the posterior window cut from it (see :meth:`posterior`), and
+    the bare total of a key summed in a :meth:`log_v_many` batch.  A
+    single-group coefficient is the key with the other size zero.
+    Insertion is idempotent, so concurrent recomputation of a key is
+    harmless.
     """
 
     def __init__(self, params: ModelParams, *, tol: float = DEFAULT_TOL,
@@ -158,14 +158,15 @@ class VCoefficients:
         self.params = params
         self.tol = tol
         self.max_terms = max_terms
-        #: (log total, m, log terms); m and terms are None for a batch total
+        #: (log total, m, log terms, posterior window); m and terms are None
+        #: for a batch total, the window is None until first asked for
         self._cache: dict[tuple[int, int, int], tuple] = {}
 
     def _sum(self, n1: int, n2: int, r: int) -> tuple:
         total, m, terms = log_v(n1, n2, r, self.params, tol=self.tol,
                                 max_terms=self.max_terms, series=True)
         m.flags.writeable = terms.flags.writeable = False
-        self._cache[n1, n2, r] = entry = (total, m, terms)
+        self._cache[n1, n2, r] = entry = (total, m, terms, None)
         return entry
 
     def log_v(self, n1: int, n2: int, r: int) -> float:
@@ -174,12 +175,49 @@ class VCoefficients:
             entry = self._sum(n1, n2, r)
         return entry[0]
 
-    def v_series(self, n1: int, n2: int, r: int) -> tuple:
-        """The series of V^r_{n1,n2}, (log total, m, log terms), looked up
-        through :meth:`log_v`; the arrays are read-only."""
+    def _series_entry(self, n1: int, n2: int, r: int) -> tuple:
+        """The key's cache entry with its whole series, looked up through
+        :meth:`log_v`."""
         self.log_v(n1, n2, r)
         entry = self._cache[n1, n2, r]
         return entry if entry[1] is not None else self._sum(n1, n2, r)
+
+    def v_series(self, n1: int, n2: int, r: int) -> tuple:
+        """The series of V^r_{n1,n2}, (log total, m, log terms), looked up
+        through :meth:`log_v`; the arrays are read-only."""
+        return self._series_entry(n1, n2, r)[:3]
+
+    def posterior(self, n1: int, n2: int, r: int) -> tuple:
+        """(m*, log weights) of the posterior of the unseen count M* = m - r
+        given sizes (n1, n2) and r species: the series of V^r_{n1,n2} cut
+        to its mass, cut once per key and kept in the key's entry.
+
+        Entries are dropped from each end of the series while the mass
+        they carry stays at most tol / 2 of the series total, that mass
+        summed in linear space; so the window leaves out at most ``tol``
+        of the posterior, on top of the series' own truncation.  A cut by
+        cumulative mass keeps every mode of a multimodal posterior, which
+        a window grown outward from the largest term would not.  The
+        weights are the terms shifted by the series' peak, so the rounding
+        of log V (2e-9 at |log V| = 10^7) stays out of them; the arrays
+        are read-only.
+        """
+        entry = self._series_entry(n1, n2, r)
+        if entry[3] is None:
+            _, m, terms, _ = entry
+            peak = terms.max()
+            if peak == LOG_ZERO:
+                raise DomainError(f"V^{r}_({n1},{n2}) is zero under this prior")
+            w = np.exp(terms - peak)
+            head = np.cumsum(w)
+            cut = 0.5 * self.tol * head[-1]
+            lo = int(np.searchsorted(head, cut, side="right"))
+            hi = w.size - int(np.searchsorted(np.cumsum(w[::-1]), cut, side="right"))
+            m_star, log_w = (m[lo:hi] - r).astype(float), terms[lo:hi] - peak
+            m_star.flags.writeable = log_w.flags.writeable = False
+            entry = entry[:3] + ((m_star, log_w),)
+            self._cache[n1, n2, r] = entry
+        return entry[3]
 
     def log_v_many(self, n1: int, n2: int, rs) -> np.ndarray:
         """log V^r_{n1,n2} for every r in ``rs``; the keys not cached yet are
@@ -190,7 +228,7 @@ class VCoefficients:
         if missing.any():
             out[missing] = log_v_many(n1, n2, rs[missing], self.params,
                                       tol=self.tol, max_terms=self.max_terms)
-            self._cache.update(((n1, n2, r), (total, None, None)) for r, total
+            self._cache.update(((n1, n2, r), (total, None, None, None)) for r, total
                                in zip(rs[missing].tolist(), out[missing].tolist()))
         return out
 

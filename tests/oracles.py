@@ -12,9 +12,12 @@ laws by scalar loops: the joint cell by cell, the global law by the double
 sum over the missing-species counts and the (global, shared) law by the
 sum over the group-exclusive count.  The joint predictive law of new
 species runs cell by cell with a double loop per cell, and its global
-marginal one k at a time.  The scalar log factorials and binomials these
-loops use, and the large-sample expansion of V, live here too: nothing in
-the package calls them.
+marginal one k at a time.  The posterior of M* is also kept whole, with
+no cut at either end (:class:`WholeWindowV` runs every law on it); the
+central GFC table is filled row by row; and the experiments' quartile rows
+come from numpy calls one cell at a time.  The scalar log factorials and
+binomials these loops use, and the large-sample expansion of V, live here
+too: nothing in the package calls them.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import mpmath
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from vecfdp.gfc import build_central_table
+from vecfdp.gfc import build_central_table, log_noncentral_row
 from vecfdp.logmath import LOG_ZERO, DomainError, log_pochhammer, log_sum_exp
 from vecfdp.pmftable import PmfTable
 from vecfdp.prediction import (
@@ -436,3 +439,63 @@ def posterior_marginal_global_new_loop(vc: VCoefficients, state: ObservedState,
         if lse > LOG_ZERO:
             entries[k] = lr[k] + lse
     return PmfTable(entries)
+
+
+def whole_posterior(vc: VCoefficients, n1: int, n2: int, r: int):
+    """(m*, log weights) of the posterior of M* over the whole V series:
+    its nonzero terms shifted by their peak, with no cut at either end."""
+    _, m, terms = vc.v_series(n1, n2, r)
+    keep = terms > LOG_ZERO
+    if not keep.any():
+        raise DomainError(f"V^{r}_({n1},{n2}) is zero under this prior")
+    terms = terms[keep]
+    return (m[keep] - r).astype(float), terms - terms.max()
+
+
+class WholeWindowV(VCoefficients):
+    """V coefficients whose posterior is the whole series: every law run on
+    one reads every posterior entry, none cut away."""
+
+    def posterior(self, n1: int, n2: int, r: int):
+        return whole_posterior(self, n1, n2, r)
+
+
+def central_table_by_rows(gamma: float, max_n: int) -> np.ndarray:
+    """The central GFC table filled one row n at a time from
+    ``log_noncentral_row(n, gamma, 0.0)``."""
+    table = np.full((max_n + 1, max_n + 1), LOG_ZERO)
+    for n in range(max_n + 1):
+        table[n, : n + 1] = log_noncentral_row(n, gamma, 0.0)
+    return table
+
+
+def quartile_rows_loop(scenario: str, n: int, estimates: dict[str, list[float]]):
+    """Experiment 1's rows at one n, three numpy calls per method."""
+    rows = []
+    for method, values in estimates.items():
+        arr = np.asarray(values, dtype=float)
+        rows.append({
+            "scenario": scenario, "n": n, "method": method,
+            "median": float(np.median(arr)),
+            "q1": float(np.quantile(arr, 0.25)),
+            "q3": float(np.quantile(arr, 0.75)),
+        })
+    return rows
+
+
+def split_rows_loop(scenario: str, per_split: dict[float, dict[str, list[float]]]):
+    """Experiment 2's rows, five numpy calls per split."""
+    rows = []
+    for pct, data in per_split.items():
+        pred_arr = np.asarray(data["predicted"])
+        true_arr = np.asarray(data["true"])
+        err_arr = np.asarray(data["error"])
+        rows.append({
+            "scenario": scenario, "split": pct,
+            "predicted_median": float(np.median(pred_arr)),
+            "predicted_q1": float(np.quantile(pred_arr, 0.25)),
+            "predicted_q3": float(np.quantile(pred_arr, 0.75)),
+            "true_median": float(np.median(true_arr)),
+            "error_median": float(np.median(err_arr)),
+        })
+    return rows

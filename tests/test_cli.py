@@ -10,11 +10,11 @@ import mpmath
 import pytest
 
 import vecfdp
-from vecfdp.abundance import ants_csv_path, write_csv
+from vecfdp.abundance import ants_csv_path, ingest, write_csv
 from vecfdp.cli import build_parser, main
 from vecfdp.logmath import log_sum_exp
 from vecfdp.mprior import OneShiftedPoisson
-from vecfdp.prediction import ObservedState
+from vecfdp.prediction import ObservedState, one_step_discovery_prob
 from vecfdp.simulate import draw_sample, generate_population
 from vecfdp.vcoef import ModelParams, VCoefficients
 
@@ -233,6 +233,20 @@ def test_discover_ants_positive(capsys):
     report = json.loads(out)
     assert report["input"]["n1"] == 934
     assert report["discovery_prob"]["value"] > 0.0
+
+
+@pytest.mark.parametrize("params", [(), ("--lam", "3000.0", "--gamma1", "0.4",
+                                         "--gamma2", "2.5")])
+def test_discover_prob_is_library_value(capsys, params):
+    # the report sums the pmf it already holds, exactly as the library does
+    path = str(ants_csv_path())
+    code, out, err = run(capsys, "discover", path, *params)
+    assert code == 0
+    report = json.loads(out)
+    p = report["params"]
+    vc = VCoefficients(ModelParams(p["gamma1"], p["gamma2"], OneShiftedPoisson(p["lambda"])))
+    state = ObservedState.from_abundance(ingest(path))
+    assert report["discovery_prob"]["value"] == one_step_discovery_prob(vc, state)
 
 
 def test_discover_with_explicit_params(capsys, toy_csv):

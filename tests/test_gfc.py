@@ -10,7 +10,7 @@ from vecfdp.estimation import fit_all
 from vecfdp.gfc import build_central_table, log_noncentral_row
 from vecfdp.logmath import LOG_ZERO, DomainError, log_pochhammer
 
-from oracles import log_noncentral_gfc
+from oracles import central_table_by_rows, log_noncentral_gfc
 
 
 def composition_sum_oracle(n: int, k: int, gamma: float) -> float:
@@ -65,6 +65,14 @@ def test_simple_values():
     assert math.exp(build_central_table(1.0, 2)[2, 1]) == pytest.approx(2.0)
     assert math.exp(build_central_table(0.5, 3)[3, 2]) == pytest.approx(
         composition_sum_oracle(3, 2, 0.5), rel=1e-12)
+
+
+@pytest.mark.parametrize("gamma", [0.05, 0.4, 1.0, 1.7, 6.3])
+@pytest.mark.parametrize("max_n", [0, 1, 2, 7, 64, 200])
+def test_central_table_is_row_by_row_table(gamma, max_n):
+    # one column pass of row max_n fills every row exactly as its own row
+    np.testing.assert_array_equal(build_central_table(gamma, max_n),
+                                  central_table_by_rows(gamma, max_n))
 
 
 def test_build_domain_errors():

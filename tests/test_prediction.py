@@ -19,6 +19,7 @@ from oracles import (
     log_noncentral_row_stream,
     posterior_joint_new_loop,
     posterior_marginal_global_new_loop,
+    WholeWindowV,
 )
 
 PARAMS = ModelParams(1.3, 0.6, OneShiftedPoisson(2.0))
@@ -270,6 +271,51 @@ def test_expected_new_moments_match_loop(ants, lam):
     want = expected_new_moments_loop(vc, state, 1000, 1000)
     for x, y in zip(got, want):
         assert x == pytest.approx(y, rel=1e-12)
+
+
+def test_bimodal_posterior_window_keeps_both_modes(ants):
+    # at gamma = 1 and this rate the posterior of M* on ants has two modes
+    # of half the mass each, at M* = 3 and near 2995, with a dip of about
+    # 218 in log weight between them: a window grown outward from the
+    # larger mode would drop half the posterior
+    state, _ = ants
+    params = ModelParams(1.0, 1.0, OneShiftedPoisson(6815.7155))
+    vc, whole = VCoefficients(params), WholeWindowV(params)
+    m_star, lw = vc.posterior(state.n1, state.n2, state.r)
+    all_m, all_lw = whole.posterior(state.n1, state.n2, state.r)
+    low = int(all_m[np.argmax(np.where(all_m < 589, all_lw, LOG_ZERO))])
+    high = int(all_m[np.argmax(np.where(all_m > 589, all_lw, LOG_ZERO))])
+    assert low == 3 and abs(high - 2995) <= 5
+    assert all_lw[all_m == 589][0] < -200
+    assert m_star[0] <= low and high <= m_star[-1]
+    w = np.exp(lw)
+    assert w[m_star < 589].sum() / w.sum() == pytest.approx(0.5, abs=1e-3)
+    assert m_star.size < all_m.size
+    # an expected count's integrand grows to about m1 + m2 on the cut
+    # tail, so futures of one draw per group keep its error near tol
+    for m1, m2 in ((0, 0), (1, 0), (1, 1)):
+        got, want = pred.expected_new(vc, state, m1, m2), pred.expected_new(whole, state, m1, m2)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    for m1, m2 in ((0, 0), (1, 1), (0, 5), (50, 50), (1000, 1000)):
+        assert pred.shared_coverage_prob(vc, state, m1, m2) == pytest.approx(
+            pred.shared_coverage_prob(whole, state, m1, m2), rel=0.0, abs=1e-12)
+    got = pred.one_step_shared_pmf(vc, state)
+    want = pred.one_step_shared_pmf(whole, state)
+    for s in (0, 1, 2):
+        assert got.prob(s) == pytest.approx(want.prob(s), rel=0.0, abs=1e-12)
+
+
+def test_posterior_window_short_at_large_rate(ants):
+    # at lam = 3e4 the series runs over 3e4 terms, of which a few thousand
+    # carry the posterior's mass
+    state, params = ants
+    params = ModelParams(params.gamma1, params.gamma2, OneShiftedPoisson(3e4))
+    vc = VCoefficients(params)
+    m_star, _ = vc.posterior(state.n1, state.n2, state.r)
+    _, m, _ = vc.v_series(state.n1, state.n2, state.r)
+    assert 5 * m_star.size <= m.size
+    # the window is cut once per key and served from the cache
+    assert vc.posterior(state.n1, state.n2, state.r)[0] is m_star
 
 
 def test_coverage_one_sided_no_shared_possible():

@@ -1,7 +1,8 @@
 """Properties of the predictive laws on random small states, drawn by
 hypothesis: the moment route against the joint law, coverage against the
 shared-species law, the new-species contraction against its loop oracles,
-normalization and ranges; and of the truncated GFC rows they read."""
+the cut posterior window against the whole series, normalization and
+ranges; and of the truncated GFC rows they read."""
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from oracles import (
     posterior_joint_new_loop,
     posterior_marginal_global_new_loop,
     uncapped_coverage_prob,
+    WholeWindowV,
 )
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
@@ -85,6 +87,32 @@ def test_new_species_laws_match_loops(case):
         got, want = law(vc, state, m1, m2), loop(vc, state, m1, m2)
         assert list(got.entries) == list(want.entries)
         np.testing.assert_allclose(got.log_mass, want.log_mass, rtol=0.0, atol=1e-12)
+
+
+@SETTINGS
+@given(cases())
+def test_posterior_cut_within_tol(case):
+    vc, state, m1, m2 = case
+    tol = vc.tol
+    whole = WholeWindowV(vc.params, tol=tol)
+    m_star, _ = vc.posterior(state.n1, state.n2, state.r)
+    all_m, all_lw = whole.posterior(state.n1, state.n2, state.r)
+    w = np.exp(all_lw)
+    assert w[(all_m < m_star[0]) | (all_m > m_star[-1])].sum() <= tol * w.sum()
+    # each law is an expectation over the posterior of a conditional
+    # probability, or of a count of at most m1 + m2 new species
+    got, want = (pred.expected_new(v, state, m1, m2) for v in (vc, whole))
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=2 * tol * max(1, m1 + m2))
+    assert pred.shared_coverage_prob(vc, state, m1, m2) == pytest.approx(
+        pred.shared_coverage_prob(whole, state, m1, m2), rel=0.0, abs=2 * tol)
+    for law in (pred.one_step_shared_pmf,
+                lambda v, s: pred.posterior_joint_new(v, s, m1, m2)):
+        got, want = law(vc, state), law(whole, state)
+        for key in set(got.support()) | set(want.support()):
+            assert got.prob(key) == pytest.approx(want.prob(key), rel=0.0, abs=2 * tol)
+    got, want = (pred.predictive_pair_probs(v, state).as_dict() for v in (vc, whole))
+    for cell, p in got.items():
+        assert p == pytest.approx(want[cell], rel=0.0, abs=2 * tol)
 
 
 @SETTINGS

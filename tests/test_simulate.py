@@ -9,6 +9,8 @@ from vecfdp.logmath import DomainError
 from vecfdp.mprior import OneShiftedPoisson, PointMass
 from vecfdp.vcoef import ModelParams, VCoefficients
 
+from oracles import quartile_rows_loop, split_rows_loop
+
 PARAMS = ModelParams(1.2, 0.7, OneShiftedPoisson(2.5))
 
 
@@ -183,3 +185,31 @@ def test_experiment2_prediction_gap_shrinks_at_full_split():
     gaps = {row["split"]: abs(row["predicted_median"] - row["true_median"])
             for row in rows}
     assert gaps[0.95] <= gaps[0.2] + 0.5
+
+
+def _tables(reps: int, seed: int):
+    """Experiment-shaped tables of ``reps`` values per cell: continuous
+    draws, heavy ties (a few integers), and one cell of a single value."""
+    rng = np.random.default_rng(seed)
+    cells = [rng.normal(size=reps).tolist(),
+             rng.integers(0, 3, size=reps).astype(float).tolist(),
+             [0.25] * reps,
+             (rng.random(reps) * 1e-3).tolist()]
+    per_n = {n: {m: cells[(i + j) % 4] for j, m in
+                 enumerate(("proposed", "yue", "chao_sh", "true"))}
+             for i, n in enumerate((50, 100, 150))}
+    per_split = {pct: {"predicted": cells[i % 4], "true": cells[(i + 1) % 4],
+                       "error": cells[(i + 2) % 4]}
+                 for i, pct in enumerate((0.1, 0.5, 0.9))}
+    return per_n, per_split
+
+
+@pytest.mark.parametrize("reps", [1, 2, 3, 4, 139, 140])
+def test_quartile_rows_match_loop_exactly(reps):
+    # odd and even counts, ties, and the replication counts 1 and 140 of
+    # the benchmark's replicates and the experiments' defaults
+    per_n, per_split = _tables(reps, seed=reps)
+    want = [row for n, estimates in per_n.items()
+            for row in quartile_rows_loop("s", n, estimates)]
+    assert simulate._quartile_rows("s", per_n) == want
+    assert simulate._split_rows("s", per_split) == split_rows_loop("s", per_split)
