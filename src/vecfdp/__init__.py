@@ -39,7 +39,7 @@ from .prediction import (
     shared_coverage_prob,
     shared_pmf,
 )
-from .vcoef import ModelParams, VCoefficients, log_v, log_v_single
+from .vcoef import ModelParams, VCoefficients, log_v
 
 __all__ = [
     "AbundanceTable",
@@ -66,7 +66,6 @@ __all__ = [
     "from_counts",
     "ingest",
     "log_v",
-    "log_v_single",
     "one_step_discovery_prob",
     "one_step_shared_pmf",
     "posterior_joint_new",

@@ -2,8 +2,10 @@
 predictive analyses, baselines, simulation experiments, and the validation
 battery.
 
-Reports are JSON by default (probabilities in both linear and log scale);
-row-oriented outputs (extrapolation curves, experiment tables) are CSV.
+Reports are JSON (probabilities in both linear and log scale); row-oriented
+outputs (extrapolation curves, experiment tables) are CSV unless ``--format
+json`` asks for one JSON report.  Each subcommand accepts only the options
+it reads; any other is a usage error.
 Exit codes: 0 ok, 1 input error, 2 numerical error, 3 validation failure.
 """
 
@@ -144,24 +146,32 @@ def _size_grid(spec: str) -> tuple[int, ...]:
     return tuple(range(lo, hi + 1, step))
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=_open_unit, default=1e-12,
-                   help="relative series truncation tolerance, in (0, 1)")
-    p.add_argument("--max-terms", type=_at_least_one, default=10**6,
-                   help="cap on series terms before a convergence error")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
+def _add_mode(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=("plug_in", "unbiased"), default="plug_in",
                    help="Simpson moment estimator")
-    p.add_argument("--format", choices=("json", "csv"), default=None,
-                   help="output format (default json; curve/simulate default csv)")
-    p.add_argument("--output", default=None, help="write to file instead of stdout")
 
 
-def _add_params(p: argparse.ArgumentParser) -> None:
+def _add_model(p: argparse.ArgumentParser) -> None:
+    """Options of a subcommand that evaluates the model on a table: pinned
+    parameters, else the estimator of the fit, and the series settings."""
     p.add_argument("--lam", type=float, default=None,
                    help="species-count rate (skips fitting when given)")
     p.add_argument("--gamma1", type=float, default=None)
     p.add_argument("--gamma2", type=float, default=None)
+    _add_mode(p)
+    p.add_argument("--tol", type=_open_unit, default=1e-12,
+                   help="relative series truncation tolerance, in (0, 1)")
+    p.add_argument("--max-terms", type=_at_least_one, default=10**6,
+                   help="cap on series terms before a convergence error")
+
+
+def _add_format(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--format", choices=("csv", "json"), default="csv",
+                   help="rows as CSV, or as one JSON report")
+
+
+def _add_output(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--output", default=None, help="write to file instead of stdout")
 
 
 @functools.cache
@@ -176,35 +186,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="diversity stats and fitted parameters")
     p.add_argument("table", help="abundance CSV (species,count_1,count_2)")
-    _add_common(p)
+    _add_mode(p)
+    _add_output(p)
 
     p = sub.add_parser("insample", help="prior laws of distinct/shared species")
     p.add_argument("table")
-    _add_params(p)
-    _add_common(p)
+    _add_model(p)
+    _add_output(p)
 
     p = sub.add_parser("predict", help="posterior prediction for (m1, m2)")
     p.add_argument("table")
     p.add_argument("--m1", type=_future_size, required=True)
     p.add_argument("--m2", type=_future_size, required=True)
-    _add_params(p)
-    _add_common(p)
+    _add_model(p)
+    _add_output(p)
 
     p = sub.add_parser("discover", help="one-step shared species discovery")
     p.add_argument("table")
-    _add_params(p)
-    _add_common(p)
+    _add_model(p)
+    _add_output(p)
 
-    p = sub.add_parser("curve", help="extrapolation curve rows as CSV")
+    p = sub.add_parser("curve", help="extrapolation curve rows")
     p.add_argument("table")
     p.add_argument("--grid", type=_future_grid, default="10:10:2",
                    help="M1:M2:STEP, Cartesian grid 0..M1 x 0..M2 in steps")
-    _add_params(p)
-    _add_common(p)
+    _add_model(p)
+    _add_format(p)
+    _add_output(p)
 
     p = sub.add_parser("baselines", help="frequentist one-step estimators")
     p.add_argument("table")
-    _add_common(p)
+    _add_output(p)
 
     p = sub.add_parser("simulate", help="benchmark experiments")
     p.add_argument("--experiment", type=int, choices=(1, 2), required=True)
@@ -218,12 +230,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="experiment 1 sample sizes LO:HI:STEP")
     p.add_argument("--n", type=_at_least_one, default=400, help="experiment 2 sample size")
     p.add_argument("--replications", type=_at_least_one, default=20)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=11, help="random seed")
+    _add_mode(p)
+    _add_format(p)
+    _add_output(p)
 
     p = sub.add_parser("validate", help="numerical validation battery")
     p.add_argument("--full", action="store_true",
                    help="larger grids and Monte-Carlo sample")
-    _add_common(p)
+    _add_output(p)
 
     sub.add_parser("ants-path", help="print the bundled example dataset path")
     return parser
@@ -341,12 +356,12 @@ def _cmd_simulate(args) -> list[dict]:
         cfg = Experiment1Config(alpha1=args.alpha1, alpha2=args.alpha2,
                                 m_true=args.m_true, grid=args.grid,
                                 replications=args.replications,
-                                seed=args.seed or 11, mode=args.mode)
+                                seed=args.seed, mode=args.mode)
         return run_experiment1(cfg)
     cfg = Experiment2Config(alpha1=args.alpha1, alpha2=args.alpha2,
                             m_true=args.m_true, n=args.n,
                             replications=args.replications,
-                            seed=args.seed or 11, mode=args.mode)
+                            seed=args.seed, mode=args.mode)
     return run_experiment2(cfg)
 
 
@@ -387,10 +402,7 @@ def main(argv=None) -> int:
             handler = {"fit": _cmd_fit, "insample": _cmd_insample,
                        "predict": _cmd_predict, "discover": _cmd_discover,
                        "baselines": _cmd_baselines}[args.command]
-            report = handler(args)
-            if args.format == "csv":
-                raise SystemExit2(f"{args.command} only emits json")
-            _emit_json(report, out)
+            _emit_json(handler(args), out)
             code = EXIT_OK
     except (IngestError, SystemExit2) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -22,7 +22,6 @@ import numpy as np
 
 from .logmath import DomainError
 from .mprior import (
-    MPrior,
     OneShiftedPoisson,
     PriorWindow,
     expected_inverse_m,
@@ -82,14 +81,6 @@ def diversity_stats(table, mode: str = "plug_in") -> DiversityStats:
     return DiversityStats(ss1=ss1, ss2=ss2, cp=cp, mode=mode)
 
 
-def _window(prior: MPrior | PriorWindow | float) -> PriorWindow:
-    """A window as is, else the window of an MPrior or of a plain rate."""
-    if isinstance(prior, PriorWindow):
-        return prior
-    return prior_window(OneShiftedPoisson(float(prior))
-                        if isinstance(prior, (int, float)) else prior)
-
-
 def _solve_increasing(f, lo: float, hi: float, what: str) -> float:
     """Root of the increasing f inside (lo, hi), where f(lo) < 0 < f(hi)
     unless rounding put the root out of reach: regula falsi on log x, halving
@@ -123,9 +114,10 @@ def _simpson_excess(gamma: float, window: PriorWindow) -> float:
     return gamma * window.mean((window.m - 1.0) / (1.0 + gamma * window.m))
 
 
-def expected_simpson_moment(gamma: float, prior: MPrior | PriorWindow | float) -> float:
-    """Forward map gamma -> (1 + gamma) E(1 / (1 + gamma M))."""
-    return 1.0 - _simpson_excess(gamma, _window(prior))
+def expected_simpson_moment(gamma: float, window: PriorWindow) -> float:
+    """Forward map gamma -> (1 + gamma) E(1 / (1 + gamma M)) over the
+    prior's window."""
+    return 1.0 - _simpson_excess(gamma, window)
 
 
 def fit_lambda(cp: float) -> float:
@@ -141,9 +133,9 @@ def fit_lambda(cp: float) -> float:
                              1.0 - cp, 2.0 / cp, f"cp = {cp}")
 
 
-def fit_gamma(ss: float, prior: MPrior | PriorWindow | float) -> float:
-    """Invert (1 + gamma) E(1/(1 + gamma M)) = ss for gamma > 0, where
-    ``prior`` is an MPrior, its :class:`PriorWindow` or a plain Poisson rate.
+def fit_gamma(ss: float, window: PriorWindow) -> float:
+    """Invert (1 + gamma) E(1/(1 + gamma M)) = ss for gamma > 0 over the
+    prior's :class:`PriorWindow`.
 
     The moment decreases from 1 (gamma -> 0) to E(1/M) (gamma -> infinity).
     It is solved as h(gamma) = gamma E[(M-1)/(1+gamma M)] = 1 - ss, which
@@ -152,7 +144,6 @@ def fit_gamma(ss: float, prior: MPrior | PriorWindow | float) -> float:
     rho = (1-ss)/(1-E(1/M)); the bracket halves the lower end and takes
     (1+rho)/2 for rho at the upper one.
     """
-    window = _window(prior)
     if ss >= 1.0:
         raise MomentRangeError(
             f"Simpson moment {ss} >= 1, the gamma -> 0 limit; no root")

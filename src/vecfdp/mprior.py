@@ -119,9 +119,6 @@ class MPrior(ABC):
     def mode(self) -> int:
         """A point at or beyond the bulk of the mass; guards series stopping."""
 
-    def log_pmf(self, m: int) -> float:
-        return float(self.log_pmf_array(np.array([m], dtype=np.int64))[0])
-
     def head(self, eps: float) -> int:
         """A start m for expectations of functions bounded by 1: the prior
         mass below it is at most eps."""

@@ -159,8 +159,8 @@ def _log_sum_rows(x: np.ndarray) -> np.ndarray:
 
 
 def _log_v_ratios(vc: VCoefficients, n1: int, n2: int, r: int,
-                  m1: int, m2: int, kmax: int) -> np.ndarray:
-    """log [V^{r+k}_{n1+m1,n2+m2} / V^r_{n1,n2}] for k = 0..kmax, as
+                  m1: int, m2: int) -> np.ndarray:
+    """log [V^{r+k}_{n1+m1,n2+m2} / V^r_{n1,n2}] for k = 0..m1+m2, as
     expectations over the posterior of the unseen count M* (the V series
     read as mixtures over the pool size, Gnedin & Pitman 2006):
 
@@ -186,8 +186,8 @@ def _log_v_ratios(vc: VCoefficients, n1: int, n2: int, r: int,
             # gammaln difference, which is off by 2e-9 at C = 10^6
             c = g * (r + m_star) + n
             tilted += _log_miss(c, c - c[0], m) - math.fsum(np.log(c[0] + np.arange(m)))
-    top = min(kmax, int(m_star[-1]))
-    out = np.full(kmax + 1, LOG_ZERO)
+    top = min(m1 + m2, int(m_star[-1]))
+    out = np.full(m1 + m2 + 1, LOG_ZERO)
     step = max(1, _LATTICE_BLOCK // m_star.size)
     fall = np.zeros(m_star.size)  # log (M*)_{k fall} at the row before a block
     with np.errstate(divide="ignore"):
@@ -206,8 +206,12 @@ def _log_v_ratios(vc: VCoefficients, n1: int, n2: int, r: int,
 
 
 def posterior_m_mean(vc: VCoefficients, state: ObservedState) -> float:
-    """E(M* | data) = V^{r+1}_{n1,n2} / V^r_{n1,n2}."""
-    return math.exp(_log_v_ratios(vc, state.n1, state.n2, state.r, 0, 0, 1)[1])
+    """E(M* | data) = V^{r+1}_{n1,n2} / V^r_{n1,n2}, the mean over the
+    window of :meth:`VCoefficients.posterior`, normalized in linear space
+    as :func:`expected_new` normalizes it."""
+    m_star, lw = vc.posterior(state.n1, state.n2, state.r)
+    q = np.exp(lw)
+    return float(np.sum(q * m_star) / np.sum(q))
 
 
 def _last_finite(lr: np.ndarray) -> int:
@@ -281,7 +285,7 @@ def posterior_joint_new(vc: VCoefficients, state: ObservedState,
     if m1 < 0 or m2 < 0:
         raise DomainError("future sample sizes must be >= 0")
     g1, g2 = vc.params.gamma1, vc.params.gamma2
-    lr = _log_v_ratios(vc, state.n1, state.n2, state.r, m1, m2, m1 + m2)
+    lr = _log_v_ratios(vc, state.n1, state.n2, state.r, m1, m2)
     top = _last_finite(lr)
     # k_j = a + (k_j - a) with a <= k <= top brand-new species and
     # k_j - a <= r_other* seen only in the other group
@@ -311,7 +315,7 @@ def posterior_marginal_global_new(vc: VCoefficients, state: ObservedState,
     if m1 < 0 or m2 < 0:
         raise DomainError("future sample sizes must be >= 0")
     g1, g2 = vc.params.gamma1, vc.params.gamma2
-    lr = _log_v_ratios(vc, state.n1, state.n2, state.r, m1, m2, m1 + m2)
+    lr = _log_v_ratios(vc, state.n1, state.n2, state.r, m1, m2)
     top = _last_finite(lr)
     x1, x2 = (row + gammaln(np.arange(row.size) + 1.0) for row in (
         log_noncentral_row(m1, g1, g1 * state.r + state.n1, kmax=top),
@@ -337,7 +341,7 @@ def posterior_local_new(vc: VCoefficients, state: ObservedState, m: int,
     n_j = state.n1 if group == 1 else state.n2
     r_j = state.r1 if group == 1 else state.r2
     sizes = (n_j, 0, r_j, m, 0) if group == 1 else (0, n_j, r_j, 0, m)
-    lr = _log_v_ratios(vc, *sizes, m)
+    lr = _log_v_ratios(vc, *sizes)
     row = log_noncentral_row(m, gamma, gamma * r_j + n_j, kmax=_last_finite(lr))
     return PmfTable.from_arrays(np.arange(row.size), lr[: row.size] + row)
 
@@ -361,7 +365,7 @@ def shared_coverage_prob(vc: VCoefficients, state: ObservedState,
     capped at one.
     """
     g1, g2 = vc.params.gamma1, vc.params.gamma2
-    lr = _log_v_ratios(vc, state.n1, state.n2, state.r, m1, m2, m1 + m2)
+    lr = _log_v_ratios(vc, state.n1, state.n2, state.r, m1, m2)
     top = _last_finite(lr)
     row1 = log_noncentral_row(m1, g1, g1 * state.r1 + state.n1, kmax=top)
     row2 = log_noncentral_row(m2, g2, g2 * state.r2 + state.n2, kmax=top)
@@ -393,7 +397,7 @@ def one_step_shared_pmf(vc: VCoefficients, state: ObservedState) -> PmfTable:
     n1, n2, r = state.n1, state.n2, state.r
     w1, w2 = g1 * state.r1 + n1, g2 * state.r2 + n2
     r1s, r2s = state.r1_star, state.r2_star
-    lr = _log_v_ratios(vc, n1, n2, r, 1, 1, 2)
+    lr = _log_v_ratios(vc, n1, n2, r, 1, 1)
 
     def bundle(pairs):
         return log_sum_exp([lr[i] + math.log(c) for i, c in pairs if c > 0.0])
@@ -487,7 +491,7 @@ def predictive_pair_probs(vc: VCoefficients, state: ObservedState) -> PairProbs:
     g1, g2 = vc.params.gamma1, vc.params.gamma2
     n1, n2, r = state.n1, state.n2, state.r
     q1_old, q2_old = n1 + g1 * r, n2 + g2 * r
-    lr = _log_v_ratios(vc, n1, n2, r, 1, 1, 2)
+    lr = _log_v_ratios(vc, n1, n2, r, 1, 1)
     cells = {
         "old_old": lr[0] + math.log(q1_old * q2_old),
         "new_old": lr[1] + math.log(g1 * q2_old),

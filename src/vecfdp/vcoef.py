@@ -134,14 +134,6 @@ def log_v_many(n1: int, n2: int, rs, params: ModelParams, *,
     return out
 
 
-def log_v_single(n: int, r: int, gamma: float, prior: MPrior, *,
-                 tol: float = DEFAULT_TOL,
-                 max_terms: int = DEFAULT_MAX_TERMS) -> float:
-    """Single-group V^r_n: the two-group coefficient with the other size zero."""
-    params = ModelParams(gamma1=gamma, gamma2=1.0, m_prior=prior)
-    return log_v(n, 0, r, params, tol=tol, max_terms=max_terms)
-
-
 class VCoefficients:
     """Memoizing evaluator of log V for one fixed parameter triple.
 

@@ -82,14 +82,12 @@ def log_v_asymptotic(vc: VCoefficients, n1: int, n2: int, r: int) -> float:
     """
     if n1 < 1 or n2 < 1:
         raise DomainError("asymptotic form needs n1, n2 >= 1")
-    prior = vc.params.m_prior
-    lq_r = prior.log_pmf(r)
+    lq_r, lq_r1 = vc.params.m_prior.log_pmf_array(np.array([r, r + 1], dtype=np.int64))
     if lq_r == LOG_ZERO:
         raise DomainError(f"prior mass at r={r} is zero")
     g1, g2 = vc.params.gamma1, vc.params.gamma2
     leading = (log_falling_factorial(r, r) + lq_r
                - log_pochhammer(g1 * r, n1) - log_pochhammer(g2 * r, n2))
-    lq_r1 = prior.log_pmf(r + 1)
     if lq_r1 == LOG_ZERO:
         return leading
     log_corr = (math.log(r + 1.0) + lq_r1 - lq_r
@@ -165,7 +163,7 @@ def uncapped_coverage_prob(vc: VCoefficients, state: ObservedState,
     g1, g2 = vc.params.gamma1, vc.params.gamma2
     row1 = log_noncentral_row_stream(m1, g1, g1 * state.r1 + state.n1)
     row2 = log_noncentral_row_stream(m2, g2, g2 * state.r2 + state.n2)
-    lr = _log_v_ratios(vc, state.n1, state.n2, state.r, m1, m2, m1 + m2)
+    lr = _log_v_ratios(vc, state.n1, state.n2, state.r, m1, m2)
     k1, k2 = np.ogrid[:m1 + 1, :m2 + 1]
     return math.exp(log_sum_exp((row1[k1] + row2[k2] + lr[k1 + k2]).ravel()))
 
@@ -387,7 +385,7 @@ def posterior_joint_new_loop(vc: VCoefficients, state: ObservedState,
     g1, g2 = vc.params.gamma1, vc.params.gamma2
     row1 = log_noncentral_row_stream(m1, g1, g1 * state.r1 + state.n1)
     row2 = log_noncentral_row_stream(m2, g2, g2 * state.r2 + state.n2)
-    lr = _log_v_ratios(vc, state.n1, state.n2, state.r, m1, m2, m1 + m2)
+    lr = _log_v_ratios(vc, state.n1, state.n2, state.r, m1, m2)
     entries = {}
     for k1 in range(0, m1 + 1):
         for k2 in range(0, m2 + 1):
@@ -420,7 +418,7 @@ def posterior_marginal_global_new_loop(vc: VCoefficients, state: ObservedState,
     g1, g2 = vc.params.gamma1, vc.params.gamma2
     row1 = log_noncentral_row_stream(m1, g1, g1 * state.r + state.n1)
     row2 = log_noncentral_row_stream(m2, g2, g2 * state.r + state.n2)
-    lr = _log_v_ratios(vc, state.n1, state.n2, state.r, m1, m2, m1 + m2)
+    lr = _log_v_ratios(vc, state.n1, state.n2, state.r, m1, m2)
     lf = gammaln(np.arange(m1 + m2 + 2, dtype=float))  # lf[i] = log (i-1)!
     entries = {}
     for k in np.flatnonzero(lr > LOG_ZERO).tolist():

@@ -23,7 +23,7 @@ from vecfdp.estimation import (
 )
 from vecfdp.gfc import build_central_table
 from vecfdp.logmath import LOG_ZERO
-from vecfdp.mprior import OneShiftedPoisson
+from vecfdp.mprior import OneShiftedPoisson, prior_window
 from vecfdp.vcoef import ModelParams, VCoefficients, log_v
 
 from oracles import log_noncentral_gfc, log_v_asymptotic
@@ -264,11 +264,11 @@ def test_criterion_09_estimation_round_trip():
         worst_lam = max(worst_lam, abs(fit_lambda(cp) - lam) / lam)
     worst_gamma = 0.0
     for lam in (0.5, 2.0, 10.0):
-        prior = OneShiftedPoisson(lam)
+        window = prior_window(OneShiftedPoisson(lam))
         for gamma in (0.05, 0.5, 2.0, 20.0):
-            ss = expected_simpson_moment(gamma, prior)
+            ss = expected_simpson_moment(gamma, window)
             worst_gamma = max(worst_gamma,
-                              abs(fit_gamma(ss, prior) - gamma) / gamma)
+                              abs(fit_gamma(ss, window) - gamma) / gamma)
     params = ModelParams(0.8, 1.6, OneShiftedPoisson(5.0))
     table = simulate.generative_vecfdp_sample(params, 20000, 20000, seed=295)
     fit = fit_all(table, "plug_in")

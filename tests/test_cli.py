@@ -382,11 +382,65 @@ def test_output_file(capsys, toy_csv, tmp_path):
 
 
 def test_deterministic_given_seed(capsys, toy_csv):
-    _, out1, _ = run(capsys, "predict", toy_csv, "--m1", "2", "--m2", "1",
-                     "--seed", "9")
-    _, out2, _ = run(capsys, "predict", toy_csv, "--m1", "2", "--m2", "1",
-                     "--seed", "9")
-    assert out1 == out2
+    argv = ("simulate", "--experiment", "1", "--replications", "1", "--seed", "9")
+    first, second = run(capsys, *argv), run(capsys, *argv)
+    assert first[0] == 0 and first[1], first[2]
+    assert second == first
+    # predict draws nothing: its report is fixed by the table alone
+    argv = ("predict", toy_csv, "--m1", "2", "--m2", "1")
+    first, second = run(capsys, *argv), run(capsys, *argv)
+    assert first[0] == 0 and first[1], first[2]
+    assert second == first
+
+
+def test_simulate_runs_the_seed_given(capsys):
+    argv = ("simulate", "--experiment", "2", "--n", "40", "--replications", "1")
+    runs = {seed: run(capsys, *argv, "--seed", seed) for seed in ("0", "11")}
+    assert all(code == 0 and out for code, out, _ in runs.values())
+    # seed 0 is a seed like any other, and 11 is the default
+    assert runs["0"][1] != runs["11"][1]
+    assert run(capsys, *argv) == runs["11"]
+
+
+#: the first arguments of a working call of each subcommand
+_BASE_ARGV = {
+    "fit": ["fit", "{toy}"],
+    "insample": ["insample", "{toy}"],
+    "predict": ["predict", "{toy}", "--m1", "1", "--m2", "1"],
+    "discover": ["discover", "{toy}"],
+    "curve": ["curve", "{toy}"],
+    "baselines": ["baselines", "{toy}"],
+    "simulate": ["simulate", "--experiment", "2", "--replications", "1"],
+    "validate": ["validate"],
+}
+
+#: a valid value of each option some subcommands take
+_OPTION_VALUE = {"--tol": "1e-10", "--max-terms": "100", "--seed": "3",
+                 "--mode": "unbiased", "--format": "csv"}
+
+
+@pytest.mark.parametrize("command,option", [
+    *(("fit", o) for o in ("--tol", "--max-terms", "--seed", "--format")),
+    *((c, o) for c in ("insample", "predict", "discover")
+      for o in ("--seed", "--format")),
+    ("curve", "--seed"),
+    *(("baselines", o) for o in ("--tol", "--max-terms", "--seed", "--mode", "--format")),
+    ("simulate", "--tol"), ("simulate", "--max-terms"),
+    *(("validate", o) for o in ("--tol", "--max-terms", "--seed", "--mode", "--format")),
+])
+def test_option_a_subcommand_does_not_read_is_usage_error(capsys, monkeypatch, toy_csv,
+                                                          command, option):
+    from vecfdp import cli
+
+    def never(args):
+        raise AssertionError(f"{command} ran with {option}")
+
+    # validate's handler is what runs the battery
+    monkeypatch.setattr(cli, f"_cmd_{command}", never)
+    argv = [a.format(toy=toy_csv) for a in _BASE_ARGV[command]]
+    code, out, err = run(capsys, *argv, option, _OPTION_VALUE[option])
+    assert code == 1
+    assert f"unrecognized arguments: {option}" in err and out == ""
 
 
 def test_validate_passes(capsys):

@@ -14,7 +14,7 @@ from vecfdp.estimation import (
     fit_lambda,
 )
 from vecfdp.logmath import DomainError
-from vecfdp.mprior import OneShiftedPoisson, PointMass
+from vecfdp.mprior import OneShiftedPoisson, PointMass, prior_window
 from vecfdp.vcoef import ModelParams
 
 
@@ -85,34 +85,37 @@ def test_fit_lambda_range_errors():
 
 def test_fit_gamma_round_trip():
     for lam in (0.5, 2.0, 10.0):
-        prior = OneShiftedPoisson(lam)
+        window = prior_window(OneShiftedPoisson(lam))
         for gamma in (1e-9, 0.05, 0.8, 1.5, 5.0, 20.0):
-            ss = expected_simpson_moment(gamma, prior)
-            back = fit_gamma(ss, prior)
+            ss = expected_simpson_moment(gamma, window)
+            back = fit_gamma(ss, window)
             assert back == pytest.approx(gamma, rel=1e-6)
-            assert abs(expected_simpson_moment(back, prior) - ss) < 1e-10
+            assert abs(expected_simpson_moment(back, window) - ss) < 1e-10
 
 
-def test_fit_gamma_accepts_plain_rate():
-    ss = expected_simpson_moment(1.5, OneShiftedPoisson(2.0))
-    assert fit_gamma(ss, 2.0) == pytest.approx(1.5, rel=1e-6)
+def test_fit_gamma_on_one_prior_window():
+    # the forward map and the fit read the same window, built once
+    window = prior_window(OneShiftedPoisson(2.0))
+    ss = expected_simpson_moment(1.5, window)
+    assert fit_gamma(ss, window) == pytest.approx(1.5, rel=1e-6)
 
 
 def test_fit_gamma_limits():
     prior = OneShiftedPoisson(2.0)
+    window = prior_window(prior)
     # moments near 1 force gamma toward zero
-    assert fit_gamma(0.999999, prior) < 1e-4
+    assert fit_gamma(0.999999, window) < 1e-4
     lower = estimation.expected_inverse_m(prior)
     with pytest.raises(MomentRangeError, match="gamma -> 0"):
-        fit_gamma(1.0, prior)
+        fit_gamma(1.0, window)
     with pytest.raises(MomentRangeError, match="gamma -> infinity"):
-        fit_gamma(lower, prior)
+        fit_gamma(lower, window)
 
 
 def test_fit_gamma_point_mass_one_degenerate():
     # (1 + g) E(1/(1 + g)) = 1 for every g: no root below 1
     with pytest.raises(MomentRangeError):
-        fit_gamma(0.8, PointMass(1))
+        fit_gamma(0.8, prior_window(PointMass(1)))
 
 
 def test_fit_all_group_swap_symmetry():

@@ -33,9 +33,8 @@ def posterior_m_mean_asymptotic(vc, state) -> float:
 
     (r+1) q_M(r+1)/q_M(r) (g1 r)_{g1} (g2 r)_{g2} n1^{-g1} n2^{-g2}
     """
-    prior = vc.params.m_prior
     r = state.r
-    lq_r, lq_r1 = prior.log_pmf(r), prior.log_pmf(r + 1)
+    lq_r, lq_r1 = vc.params.m_prior.log_pmf_array(np.array([r, r + 1], dtype=np.int64))
     if lq_r == LOG_ZERO:
         raise DomainError(f"prior mass at r={r} is zero")
     if lq_r1 == LOG_ZERO:

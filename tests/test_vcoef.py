@@ -8,7 +8,7 @@ from vecfdp.abundance import ants_table
 from vecfdp.estimation import fit_all
 from vecfdp.logmath import LOG_ZERO, ConvergenceError, DomainError
 from vecfdp.mprior import OneShiftedPoisson, PointMass, TabulatedPrior
-from vecfdp.vcoef import ModelParams, VCoefficients, log_v, log_v_many, log_v_single
+from vecfdp.vcoef import ModelParams, VCoefficients, log_v, log_v_many
 
 from oracles import log_v_asymptotic
 
@@ -64,19 +64,21 @@ def test_point_mass_single_term():
 
 
 def test_single_group_is_zero_other_size():
+    # V^1_1 = sum_m m q(m) / (gamma m) = 1 / gamma: with the other size
+    # zero, the other concentration drops out
     prior = OneShiftedPoisson(1.0)
-    params = ModelParams(1.0, 1.0, prior)
-    assert log_v_single(1, 1, 1.0, prior) == pytest.approx(
-        log_v(1, 0, 1, params), abs=1e-14)
+    for gamma2 in (1.0, 3.7):
+        assert log_v(1, 0, 1, ModelParams(1.0, gamma2, prior)) == pytest.approx(
+            0.0, abs=1e-14)
 
 
 def test_point_mass_below_r_is_zero():
-    assert log_v_single(3, 3, 1.0, PointMass(2)) == LOG_ZERO
+    assert log_v(3, 0, 3, ModelParams(1.0, 1.0, PointMass(2))) == LOG_ZERO
 
 
 def test_against_high_cap_oracle():
     expected = mp_series_oracle(4, 0, 2, 0.5, 1.0, 2.0)
-    got = log_v_single(4, 2, 0.5, OneShiftedPoisson(2.0))
+    got = log_v(4, 0, 2, ModelParams(0.5, 1.0, OneShiftedPoisson(2.0)))
     assert got == pytest.approx(expected, rel=1e-10)
 
 
