@@ -20,10 +20,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from .gfc import log_noncentral_row
-from .logmath import DomainError, log_sum_exp_by
+from .logmath import DomainError, log_factorial, log_sum_exp_by
 from .mprior import prior_window
 from .pmftable import PmfTable, shared_marginal
 from .vcoef import ModelParams, VCoefficients
@@ -50,7 +49,7 @@ def prior_joint(vc: VCoefficients, n1: int, n2: int) -> PmfTable:
     t = np.repeat(top + np.cumsum(count) - count, count) - np.arange(count.sum())
     r1, r2 = np.repeat(r1, count), np.repeat(r2, count)
     r = r1 + r2 - t
-    lf = gammaln(np.arange(max(n1, n2) + 1) + 1.0)  # lf[i] = log i!
+    lf = log_factorial(np.arange(max(n1, n2) + 1))  # lf[i] = log i!
     lc1 = log_noncentral_row(n1, vc.params.gamma1, 0.0) + lf[: n1 + 1]
     lc2 = log_noncentral_row(n2, vc.params.gamma2, 0.0) + lf[: n2 + 1]
     lv = vc.log_v_many(n1, n2, np.arange(1, n1 + n2 + 1))

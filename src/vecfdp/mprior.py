@@ -16,9 +16,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, pdtr, pdtrik
 
-from .logmath import LOG_ZERO, ConvergenceError, DomainError
+from .logmath import LOG_ZERO, ConvergenceError, DomainError, log_factorial
 
 #: consecutive sub-tolerance terms required before a tail is declared dead
 TAIL_RUN = 5
@@ -139,19 +138,44 @@ class OneShiftedPoisson(MPrior):
             raise DomainError(f"rate must be positive, got {self.lam}")
 
     def log_pmf_array(self, m: np.ndarray) -> np.ndarray:
-        # gammaln has its poles at m <= 0, where the result is then -inf
-        return -self.lam + (m - 1) * math.log(self.lam) - gammaln(m)
+        # log (m - 1)! is +inf at m <= 0, where the result is then -inf
+        k = m - 1
+        out = k * math.log(self.lam)
+        out -= self.lam
+        out -= log_factorial(k)
+        return out
 
     def mode(self) -> int:
         return 1 + int(math.floor(self.lam))
 
     def head(self, eps: float) -> int:
-        # the eps-quantile of the Poisson(lam) count M - 1, computed as
-        # scipy.stats.poisson.ppf does
-        k = max(math.ceil(pdtrik(eps, self.lam)) - 1, 0)
-        if pdtr(k, self.lam) < eps:
-            k += 1
-        return 1 + k
+        # 2 + j, j the largest integer below lam with the geometric tail
+        # bound P(X <= j) <= P(X = j) / (1 - j / lam) at most eps, for the
+        # count X = M - 1 (below j its terms fall by ratios of at most
+        # j / lam); so the mass of M below the start is at most eps.  The
+        # bound rises with j; Newton's method on its log finds the crossing
+        # from the Gaussian point, then j is settled by stepping.
+        lam, log_eps = self.lam, math.log(eps)
+        if -lam > log_eps:  # P(X = 0) = e^{-lam} is already above eps
+            return 1
+        log_lam = math.log(lam)
+
+        def log_bound(a):
+            return a * log_lam - lam - math.lgamma(a + 1.0) - math.log1p(-a / lam)
+
+        a = max(lam - math.sqrt(-2.0 * lam * log_eps), 0.0)
+        for _ in range(100):
+            # the slope, with digamma(a + 1) ~ log(a + 1/2)
+            step = (log_eps - log_bound(a)) / (log_lam - math.log(a + 0.5) + 1.0 / (lam - a))
+            a = min(a + step, 0.5 * (a + lam))
+            if abs(step) < 1e-3:
+                break
+        j = min(max(math.floor(a), 0), math.ceil(lam) - 1)
+        while j > 0 and log_bound(j) > log_eps:
+            j -= 1
+        while j + 1 < lam and log_bound(j + 1) <= log_eps:
+            j += 1
+        return 2 + j
 
 
 @dataclass(frozen=True)
@@ -210,8 +234,9 @@ class PriorWindow:
 
     def mean(self, values) -> float:
         """E[f(M)] from the values f(m) on the window."""
-        # a pairwise sum, not a BLAS dot, whose threads stall on a busy host
-        return float(np.sum(self.q * values))
+        # a pairwise sum, not a BLAS dot, whose threads stall on a busy host;
+        # np.add.reduce is np.sum without its Python wrapper
+        return float(np.add.reduce(self.q * values))
 
 
 def prior_window(prior: MPrior, *, tol: float = 1e-12,

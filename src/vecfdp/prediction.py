@@ -36,20 +36,14 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .gfc import log_noncentral_row
-from .logmath import LOG_ZERO, DomainError, log_sum_exp
+from .logmath import _DIRECT, LOG_ZERO, DomainError, _stirling_gap, log_factorial, log_sum_exp
 from .pmftable import PmfTable, shared_marginal
 from .vcoef import VCoefficients
 
 #: cells of the coverage lattice and of the (k, M*) ratio matrix per block
 _LATTICE_BLOCK = 1 << 16
-#: factors of a rising factorial taken one by one; past them the arguments
-#: are at least this large, where six Stirling terms reach double precision
-_DIRECT = 16
-#: B_{2j} / (2j (2j - 1)), j = 1..6: the Stirling series of log Gamma
-_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
 
 
 @dataclass(frozen=True)
@@ -126,12 +120,6 @@ def posterior_m_pmf(vc: VCoefficients, state: ObservedState) -> PmfTable:
     return PmfTable.from_arrays(m - state.r, terms - log_norm)
 
 
-def _stirling_gap(z, a):
-    """The series part of log Gamma(z + a) - log Gamma(z), z >= ``_DIRECT``."""
-    return sum(c * ((z + a) ** (1 - 2 * j) - z ** (1 - 2 * j))
-               for j, c in enumerate(_STIRLING, start=1))
-
-
 def _log_miss(c: np.ndarray, g: float, m: int) -> np.ndarray:
     """log [(c - g)_m / (c)_m] for arrays c >= g, with relative accuracy
     even within 10^-13 of zero: log1p terms for the first ``_DIRECT``
@@ -183,7 +171,7 @@ def _log_v_ratios(vc: VCoefficients, n1: int, n2: int, r: int,
     for g, n, m in ((vc.params.gamma1, n1, m1), (vc.params.gamma2, n2, m2)):
         if m:
             # (C)_m relative to its value at the window's first M*; never a
-            # gammaln difference, which is off by 2e-9 at C = 10^6
+            # log-gamma difference, which is off by 2e-9 at C = 10^6
             c = g * (r + m_star) + n
             tilted += _log_miss(c, c - c[0], m) - math.fsum(np.log(c[0] + np.arange(m)))
     top = min(m1 + m2, int(m_star[-1]))
@@ -221,11 +209,6 @@ def _last_finite(lr: np.ndarray) -> int:
     return int(np.count_nonzero(lr > LOG_ZERO)) - 1
 
 
-def _neg_log_factorial(n: np.ndarray) -> np.ndarray:
-    """-log n! of an integer array; -inf (1/n! = 0) where n < 0."""
-    return np.where(n >= 0, -gammaln(np.maximum(n, 0) + 1.0), LOG_ZERO)
-
-
 def _log_new_species(lr: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """The new-species contraction shared by the joint and global laws:
 
@@ -241,7 +224,7 @@ def _log_new_species(lr: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarr
     top = _last_finite(lr)
     (ni, na), (nj, nb) = x1.shape, x2.shape
     na, nb = min(na, top + 1), min(nb, top + 1)
-    inv = _neg_log_factorial(np.arange(-top, 2 * top + 1))  # inv[top + n] = -log n!
+    inv = -log_factorial(np.arange(-top, 2 * top + 1))  # inv[top + n] = -log n!
     out = np.empty((top + 1, ni, nj))
     step = max(1, _LATTICE_BLOCK // (na * nj * max(nb, ni)))
     for lo in range(0, top + 1, step):
@@ -262,8 +245,8 @@ def _local_rows(row: np.ndarray, r_other: int) -> np.ndarray:
     species, a are brand new and k - a were seen only in the other group."""
     k = np.arange(row.size)
     d = k[:, None] - k
-    return ((row + gammaln(k + 1.0))[:, None] + gammaln(r_other + 1.0)
-            + _neg_log_factorial(d) + _neg_log_factorial(r_other - d))
+    return ((row + log_factorial(k))[:, None] + log_factorial(r_other)
+            - log_factorial(d) - log_factorial(r_other - d))
 
 
 def posterior_joint_new(vc: VCoefficients, state: ObservedState,
@@ -317,7 +300,7 @@ def posterior_marginal_global_new(vc: VCoefficients, state: ObservedState,
     g1, g2 = vc.params.gamma1, vc.params.gamma2
     lr = _log_v_ratios(vc, state.n1, state.n2, state.r, m1, m2)
     top = _last_finite(lr)
-    x1, x2 = (row + gammaln(np.arange(row.size) + 1.0) for row in (
+    x1, x2 = (row + log_factorial(np.arange(row.size)) for row in (
         log_noncentral_row(m1, g1, g1 * state.r + state.n1, kmax=top),
         log_noncentral_row(m2, g2, g2 * state.r + state.n2, kmax=top)))
     law = _log_new_species(lr, x1[None], x2[None])[:, 0, 0]
@@ -378,9 +361,19 @@ def shared_coverage_prob(vc: VCoefficients, state: ObservedState,
     return min(1.0, math.exp(log_sum_exp(parts)))
 
 
-def one_step_shared_pmf(vc: VCoefficients, state: ObservedState) -> PmfTable:
+def one_step_ratios(vc: VCoefficients, state: ObservedState) -> np.ndarray:
+    """log [V'^{r+k} / V^r_{n1,n2}] for k = 0, 1, 2, with V' at
+    (n1 + 1, n2 + 1): the V ratios of the next pair of observations, which
+    :func:`one_step_shared_pmf` and :func:`predictive_pair_probs` both read;
+    a caller that asks for both forms them once and passes them on."""
+    return _log_v_ratios(vc, state.n1, state.n2, state.r, 1, 1)
+
+
+def one_step_shared_pmf(vc: VCoefficients, state: ObservedState, *,
+                        lr: np.ndarray | None = None) -> PmfTable:
     """Exact pmf of the number of new shared species when one further
-    observation is taken in each group (s in {0, 1, 2}).
+    observation is taken in each group (s in {0, 1, 2}); ``lr`` is
+    :func:`one_step_ratios`, formed here when not given.
 
     With w_j = gamma_j r_j + n_j and V' ratios at (n1+1, n2+1):
 
@@ -394,10 +387,10 @@ def one_step_shared_pmf(vc: VCoefficients, state: ObservedState) -> PmfTable:
     joint predictive law.
     """
     g1, g2 = vc.params.gamma1, vc.params.gamma2
-    n1, n2, r = state.n1, state.n2, state.r
-    w1, w2 = g1 * state.r1 + n1, g2 * state.r2 + n2
+    w1, w2 = g1 * state.r1 + state.n1, g2 * state.r2 + state.n2
     r1s, r2s = state.r1_star, state.r2_star
-    lr = _log_v_ratios(vc, n1, n2, r, 1, 1)
+    if lr is None:
+        lr = one_step_ratios(vc, state)
 
     def bundle(pairs):
         return log_sum_exp([lr[i] + math.log(c) for i, c in pairs if c > 0.0])
@@ -448,9 +441,9 @@ def expected_new(vc: VCoefficients, state: ObservedState,
     g1, g2 = vc.params.gamma1, vc.params.gamma2
     miss1 = _log_miss(g1 * (state.r + m_star) + state.n1, g1, m1)
     miss2 = _log_miss(g2 * (state.r + m_star) + state.n2, g2, m2)
-    e_k1 = float(np.sum(q * (state.r2_star + m_star) * -np.expm1(miss1)))
-    e_k2 = float(np.sum(q * (state.r1_star + m_star) * -np.expm1(miss2)))
-    e_k = float(np.sum(q * m_star * -np.expm1(miss1 + miss2)))
+    e_k1 = float(np.add.reduce(q * (state.r2_star + m_star) * -np.expm1(miss1)))
+    e_k2 = float(np.add.reduce(q * (state.r1_star + m_star) * -np.expm1(miss2)))
+    e_k = float(np.add.reduce(q * m_star * -np.expm1(miss1 + miss2)))
     return ExpectedNew(k1=e_k1, k2=e_k2, k=e_k, s=e_k1 + e_k2 - e_k)
 
 
@@ -475,8 +468,10 @@ class PairProbs:
                 "old_new": self.old_new, "new_new": self.new_new}
 
 
-def predictive_pair_probs(vc: VCoefficients, state: ObservedState) -> PairProbs:
-    """Cell weights for the next pair of observations.
+def predictive_pair_probs(vc: VCoefficients, state: ObservedState, *,
+                          lr: np.ndarray | None = None) -> PairProbs:
+    """Cell weights for the next pair of observations; ``lr`` is
+    :func:`one_step_ratios`, formed here when not given.
 
     q_j^old = n_j + g_j r (every global species contributes g_j even where
     its count in group j is zero) and q_j^new = g_j:
@@ -491,7 +486,8 @@ def predictive_pair_probs(vc: VCoefficients, state: ObservedState) -> PairProbs:
     g1, g2 = vc.params.gamma1, vc.params.gamma2
     n1, n2, r = state.n1, state.n2, state.r
     q1_old, q2_old = n1 + g1 * r, n2 + g2 * r
-    lr = _log_v_ratios(vc, n1, n2, r, 1, 1)
+    if lr is None:
+        lr = one_step_ratios(vc, state)
     cells = {
         "old_old": lr[0] + math.log(q1_old * q2_old),
         "new_old": lr[1] + math.log(g1 * q2_old),

@@ -21,9 +21,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
-from .logmath import LOG_ZERO, DomainError
+from .logmath import LOG_ZERO, DomainError, log_factorial, log_gamma
 from .mprior import MPrior, log_series
 
 DEFAULT_TOL = 1e-12
@@ -61,8 +60,8 @@ def _v_rows(n1: int, n2: int, rs: np.ndarray, params: ModelParams, *,
     The log term at m is D(m) - log (m - r)!, with
     D(m) = log m! + log q_M(m) - sum_j log (gamma_j m)_{n_j} shared by every
     row: a block evaluates D once over the span of its indices and gathers
-    it, so a run of consecutive r costs about one log-gamma call per index
-    and per row, not one per cell.
+    it, so a run of consecutive r costs about one log-gamma call per group
+    and per index, not one per cell.
     """
     if n1 < 0 or n2 < 0:
         raise DomainError(f"sample sizes must be >= 0, got ({n1}, {n2})")
@@ -79,15 +78,20 @@ def _v_rows(n1: int, n2: int, rs: np.ndarray, params: ModelParams, *,
         # rows ascend in r, so the block's indices span m[0, 0] .. m[-1, -1]
         lo, width = int(m[0, 0]), m.shape[1]
         span = np.arange(lo, int(m[-1, -1]) + 1)
-        d = gammaln(span + 1.0)
+        d = log_factorial(span)
         d += prior.log_pmf_array(span)
         for g, n in sizes:
-            gm = g * span
-            d += gammaln(gm)
-            gm += n
-            d -= gammaln(gm, out=gm)
-        first = lo - int(starts[0]) + 1  # m - r + 1 at the block's first offset
-        log_fact = gammaln(np.arange(first, first + width + 1, dtype=float))
+            # log Gamma at g m and at g m + n in one call, whose fixed cost
+            # is that of hundreds of entries; each name is rebound as soon
+            # as it is read, so no buffer outlives its use
+            lg = g * span
+            lg = np.concatenate((lg, lg + n))
+            lg = log_gamma(lg)
+            d += lg[:span.size]
+            d -= lg[span.size:]
+            del lg
+        first = lo - int(starts[0])  # m - r at the block's first offset
+        log_fact = log_factorial(np.arange(first, first + width + 1))
         out = d[m - lo]
         out -= log_fact[np.arange(width) + lift]
         return out

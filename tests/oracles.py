@@ -15,9 +15,10 @@ species runs cell by cell with a double loop per cell, and its global
 marginal one k at a time.  The posterior of M* is also kept whole, with
 no cut at either end (:class:`WholeWindowV` runs every law on it); the
 central GFC table is filled row by row; and the experiments' quartile rows
-come from numpy calls one cell at a time.  The scalar log factorials and
-binomials these loops use, and the large-sample expansion of V, live here
-too: nothing in the package calls them.
+come from numpy calls one cell at a time.  The start of the Poisson
+prior's window is also taken from scipy's Poisson quantile.  The scalar
+log factorials and binomials these loops use, and the large-sample
+expansion of V, live here too: nothing in the package calls them.
 """
 
 from __future__ import annotations
@@ -26,14 +27,12 @@ import math
 
 import mpmath
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln, logsumexp, pdtr, pdtrik
 
 from vecfdp.gfc import build_central_table, log_noncentral_row
-from vecfdp.logmath import LOG_ZERO, DomainError, log_pochhammer, log_sum_exp
+from vecfdp.logmath import _DIRECT, _STIRLING, LOG_ZERO, DomainError, log_pochhammer, log_sum_exp
 from vecfdp.pmftable import PmfTable
 from vecfdp.prediction import (
-    _DIRECT,
-    _STIRLING,
     ExpectedNew,
     ObservedState,
     _log_v_ratios,
@@ -64,6 +63,16 @@ def log_factorial(n: int) -> float:
         _LOG_FACT = gammaln(np.arange(max(2 * _LOG_FACT.size, n + 1),
                                       dtype=float) + 1.0)
     return float(_LOG_FACT[n])
+
+
+def poisson_quantile_start(lam: float, eps: float) -> int:
+    """1 + the eps-quantile of the Poisson(lam) count M - 1 of the
+    1-shifted Poisson prior, from scipy's Poisson cdf and its inverse:
+    the start before which the prior leaves less than eps."""
+    k = max(math.ceil(pdtrik(eps, lam)) - 1, 0)
+    if pdtr(k, lam) < eps:
+        k += 1
+    return 1 + k
 
 
 def log_binomial(n: int, k: int) -> float:

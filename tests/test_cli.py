@@ -10,6 +10,7 @@ import mpmath
 import pytest
 
 import vecfdp
+from vecfdp import prediction
 from vecfdp.abundance import ants_csv_path, ingest, write_csv
 from vecfdp.cli import build_parser, main
 from vecfdp.logmath import log_sum_exp
@@ -247,6 +248,32 @@ def test_discover_prob_is_library_value(capsys, params):
     vc = VCoefficients(ModelParams(p["gamma1"], p["gamma2"], OneShiftedPoisson(p["lambda"])))
     state = ObservedState.from_abundance(ingest(path))
     assert report["discovery_prob"]["value"] == one_step_discovery_prob(vc, state)
+
+
+def test_discover_forms_one_step_ratios_once(capsys, monkeypatch):
+    # the pmf and the pair cells read the same V' ratios: one pass, and the
+    # report is what the two laws give when each forms its own
+    calls = []
+    original = prediction._log_v_ratios
+
+    def counted(*args):
+        calls.append(args[1:])
+        return original(*args)
+
+    monkeypatch.setattr(prediction, "_log_v_ratios", counted)
+    path = str(ants_csv_path())
+    code, out, err = run(capsys, "discover", path, "--lam", "3000.0",
+                         "--gamma1", "0.4", "--gamma2", "2.5")
+    assert code == 0
+    assert len(calls) == 1
+    report = json.loads(out)
+    vc = VCoefficients(ModelParams(0.4, 2.5, OneShiftedPoisson(3000.0)))
+    state = ObservedState.from_abundance(ingest(path))
+    pmf = prediction.one_step_shared_pmf(vc, state)
+    assert [report["one_step_shared_pmf"][str(s)]["value"] for s in (0, 1, 2)] == [
+        pmf.prob(s) for s in (0, 1, 2)]
+    assert report["pair_probs"] == prediction.predictive_pair_probs(vc, state).as_dict()
+    assert len(calls) == 3
 
 
 def test_discover_with_explicit_params(capsys, toy_csv):
@@ -490,6 +517,17 @@ def test_cli_import_leaves_out_scipy_stats():
     out = subprocess.run([sys.executable, "-c", probe], check=True,
                          capture_output=True, text=True, cwd=src, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_loads_no_scipy():
+    # the package needs numpy only; scipy.special alone pulled in scipy's
+    # array-API layer, about 24 MB and a quarter second per CLI process
+    src = str(Path(vecfdp.__file__).resolve().parents[1])
+    probe = ("import sys, vecfdp.cli; "
+             "print([m for m in sys.modules if m.startswith('scipy')])")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True, cwd=src, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_predict_large_future_small_memory():
