@@ -150,14 +150,6 @@ def ingest(path) -> AbundanceTable:
                           counts2=np.array(counts2, dtype=np.int64))
 
 
-def write_csv(table: AbundanceTable, path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(EXPECTED_HEADER)
-        for label, c1, c2 in zip(table.labels, table.counts1, table.counts2):
-            writer.writerow([label, int(c1), int(c2)])
-
-
 def ants_csv_path() -> Path:
     """Path of the bundled two-park ant survey table (synthetic counts that
     reproduce the published site summaries)."""

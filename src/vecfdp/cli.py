@@ -94,9 +94,10 @@ def _model_from_args(args, table) -> tuple[VCoefficients, dict]:
     elif any(v is not None for v in given):
         raise SystemExit2("provide all of --lam/--gamma1/--gamma2 or none")
     else:
-        fit = fit_all(table, args.mode)
+        mode = args.mode or "plug_in"
+        fit = fit_all(table, mode)
         params = fit.params
-        meta = {"source": f"fit ({args.mode})", "lambda": fit.lam,
+        meta = {"source": f"fit ({mode})", "lambda": fit.lam,
                 "gamma1": params.gamma1, "gamma2": params.gamma2,
                 "residuals": {"lambda": fit.lambda_residual,
                               "gamma1": fit.gamma1_residual,
@@ -147,9 +148,9 @@ def _size_grid(spec: str) -> tuple[int, ...]:
     return tuple(range(lo, hi + 1, step))
 
 
-def _add_mode(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", choices=("plug_in", "unbiased"), default="plug_in",
-                   help="Simpson moment estimator")
+def _add_mode(p: argparse.ArgumentParser, default: str | None = "plug_in") -> None:
+    p.add_argument("--mode", choices=("plug_in", "unbiased"), default=default,
+                   help="Simpson moment estimator (default plug_in)")
 
 
 def _add_model(p: argparse.ArgumentParser) -> None:
@@ -159,7 +160,7 @@ def _add_model(p: argparse.ArgumentParser) -> None:
                    help="species-count rate (skips fitting when given)")
     p.add_argument("--gamma1", type=float, default=None)
     p.add_argument("--gamma2", type=float, default=None)
-    _add_mode(p)
+    _add_mode(p, default=None)  # None: not given, so pinned parameters may reject it
     p.add_argument("--tol", type=_open_unit, default=1e-12,
                    help="relative series truncation tolerance, in (0, 1)")
     p.add_argument("--max-terms", type=_at_least_one, default=10**6,
@@ -227,9 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="group-2 decay rate of the true proportions, in (0, 1)")
     p.add_argument("--m-true", type=_at_least_one, default=60,
                    help="number of species in the true population")
-    p.add_argument("--grid", type=_size_grid, default="50:400:50",
-                   help="experiment 1 sample sizes LO:HI:STEP")
-    p.add_argument("--n", type=_at_least_one, default=400, help="experiment 2 sample size")
+    p.add_argument("--grid", type=_size_grid, default=None,
+                   help="experiment 1 sample sizes LO:HI:STEP (default 50:400:50)")
+    p.add_argument("--n", type=_at_least_one, default=None,
+                   help="experiment 2 sample size (default 400)")
     p.add_argument("--replications", type=_at_least_one, default=20)
     p.add_argument("--seed", type=int, default=11, help="random seed")
     _add_mode(p)
@@ -356,12 +358,13 @@ def _cmd_baselines(args) -> dict:
 def _cmd_simulate(args) -> list[dict]:
     if args.experiment == 1:
         cfg = Experiment1Config(alpha1=args.alpha1, alpha2=args.alpha2,
-                                m_true=args.m_true, grid=args.grid,
+                                m_true=args.m_true,
+                                grid=args.grid or Experiment1Config.grid,
                                 replications=args.replications,
                                 seed=args.seed, mode=args.mode)
         return run_experiment1(cfg)
     cfg = Experiment2Config(alpha1=args.alpha1, alpha2=args.alpha2,
-                            m_true=args.m_true, n=args.n,
+                            m_true=args.m_true, n=args.n or Experiment2Config.n,
                             replications=args.replications,
                             seed=args.seed, mode=args.mode)
     return run_experiment2(cfg)
@@ -374,10 +377,27 @@ def _cmd_validate(args) -> tuple[dict, bool]:
             "checks": [r.as_dict() for r in results]}, ok
 
 
+def _reject_unread(parser: argparse.ArgumentParser, args) -> None:
+    """A usage error for an option that this configuration of its command
+    would ignore: experiment 1's --grid in experiment 2, experiment 2's --n
+    in experiment 1, and --mode once --lam/--gamma1/--gamma2 pin the model
+    (nothing is fitted).  Each such option defaults to None."""
+    if args.command == "simulate":
+        option, value, why = (("--n", args.n, "experiment 1") if args.experiment == 1
+                              else ("--grid", args.grid, "experiment 2"))
+    elif getattr(args, "lam", None) is not None and None not in (args.gamma1, args.gamma2):
+        option, value, why = "--mode", args.mode, "pinned --lam/--gamma1/--gamma2"
+    else:
+        return
+    if value is not None:
+        parser.error(f"argument {option}: not read with {why}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _reject_unread(parser, args)
     except SystemExit2 as exc:
         print(exc, file=sys.stderr)
         return EXIT_INPUT

@@ -165,6 +165,8 @@ class FitResult:
     lambda_residual: float
     gamma1_residual: float
     gamma2_residual: float
+    #: whether ``fit_all(..., clamp=True)`` moved cp or either ss
+    moved: bool
 
     @property
     def lam(self) -> float:
@@ -178,8 +180,9 @@ def fit_all(table, mode: str = "plug_in", *, clamp: bool = False) -> FitResult:
     ``clamp`` moves the moments into the ranges the model attains, so the
     experiment harnesses get an estimate for every sample: cp into
     [1/(n1 n2), 1 - 1e-10] (1/(n1 n2): the least cp with a shared species),
-    each ss to 1e-9 of the width of (E(1/M), 1) inside it.  Residuals are
-    those of the moments solved for.
+    each ss to 1e-9 of the width of (E(1/M), 1) inside it; the result's
+    ``moved`` says whether any moment moved.  Residuals are those of the
+    moments solved for.
     """
     stats = diversity_stats(table, mode)
     cp, targets = stats.cp, [stats.ss1, stats.ss2]
@@ -194,5 +197,6 @@ def fit_all(table, mode: str = "plug_in", *, clamp: bool = False) -> FitResult:
     gammas = [fit_gamma(ss, window) for ss in targets]
     residuals = [abs(_simpson_excess(g, window) - (1.0 - ss))
                  for g, ss in zip(gammas, targets)]
+    moved = (cp, *targets) != (stats.cp, stats.ss1, stats.ss2)
     return FitResult(ModelParams(*gammas, m_prior=prior), stats,
-                     abs(expected_cross_moment(prior.lam) - cp), *residuals)
+                     abs(expected_cross_moment(prior.lam) - cp), *residuals, moved)

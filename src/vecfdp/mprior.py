@@ -123,6 +123,11 @@ class MPrior(ABC):
         mass below it is at most eps."""
         return 1
 
+    def log_mass_bound(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
+        """log of an upper bound on the prior mass of each piece [lo, hi)
+        (int arrays, lo < hi), or None for a prior that offers none."""
+        return None
+
     #: largest support point, or None when the support is unbounded
     support_max: int | None = None
 
@@ -147,6 +152,11 @@ class OneShiftedPoisson(MPrior):
 
     def mode(self) -> int:
         return 1 + int(math.floor(self.lam))
+
+    def log_mass_bound(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        # unimodal: q rises to the mode and falls past it, so no point of a
+        # piece carries more than the piece's point nearest the mode
+        return np.log(hi - lo) + self.log_pmf_array(np.clip(self.mode(), lo, hi - 1))
 
     def head(self, eps: float) -> int:
         # 2 + j, j the largest integer below lam with the geometric tail

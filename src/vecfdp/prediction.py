@@ -112,8 +112,9 @@ def posterior_m_pmf(vc: VCoefficients, state: ObservedState) -> PmfTable:
              prod_j (gamma_j (m*+r))_{n_j} ],   m* = 0, 1, 2, ...
 
     The masses are the terms of the V^r_{n1,n2} series divided by their own
-    total, so the support is the window that series summed and the pmf is
-    normalized by construction.  Note q*(0) > 0: the sample may already
+    total, so the support is the window that series summed, from its
+    certified start (see :mod:`vecfdp.vcoef`), and the pmf is normalized by
+    construction.  Note q*(0) > 0: the sample may already
     have exhausted the species pool.
     """
     log_norm, m, terms = vc.v_series(state.n1, state.n2, state.r)

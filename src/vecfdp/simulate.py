@@ -9,11 +9,12 @@ Every sampler is deterministic under its seed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .abundance import AbundanceTable, from_counts
+from .abundance import from_counts
 from .baselines import (
     chao_shared_estimator,
     frequency_counts,
@@ -22,7 +23,6 @@ from .baselines import (
 )
 from .estimation import fit_all
 from .logmath import DomainError, log_pochhammer, log_sum_exp
-from .mprior import OneShiftedPoisson, PointMass, TabulatedPrior
 from .pmftable import PmfTable
 from .prediction import (
     ObservedState,
@@ -64,55 +64,6 @@ def generate_population(m_true: int, alpha1: float, alpha2: float,
         p /= p.sum()
         out.append(p[rng.permutation(m_true)])
     return SyntheticPopulation(m_true=m_true, p1=out[0], p2=out[1], seed=seed)
-
-
-@dataclass(frozen=True)
-class SampleDraw:
-    """Raw per-species sample counts aligned with the population arrays."""
-
-    counts1: np.ndarray
-    counts2: np.ndarray
-
-    def table(self) -> AbundanceTable:
-        m = self.counts1.size
-        labels = [f"sp{i:04d}" for i in range(m)]
-        return from_counts(labels, self.counts1, self.counts2, drop_empty=True)
-
-
-def draw_sample(population: SyntheticPopulation, n1: int, n2: int,
-                seed: int) -> SampleDraw:
-    """Multinomial samples of sizes (n1, n2) from the two populations."""
-    rng = np.random.default_rng(seed)
-    c1 = rng.multinomial(n1, population.p1) if n1 > 0 else np.zeros(
-        population.m_true, dtype=np.int64)
-    c2 = rng.multinomial(n2, population.p2) if n2 > 0 else np.zeros(
-        population.m_true, dtype=np.int64)
-    return SampleDraw(counts1=c1.astype(np.int64), counts2=c2.astype(np.int64))
-
-
-def _draw_species_count(prior, rng) -> int:
-    if isinstance(prior, OneShiftedPoisson):
-        return 1 + int(rng.poisson(prior.lam))
-    if isinstance(prior, PointMass):
-        return prior.m0
-    if isinstance(prior, TabulatedPrior):
-        return 1 + int(rng.choice(prior.probs.size, p=prior.probs))
-    raise DomainError(f"cannot sample from prior of type {type(prior).__name__}")
-
-
-def generative_vecfdp_sample(params: ModelParams, n1: int, n2: int,
-                             seed: int) -> AbundanceTable:
-    """Forward sample: species count from its prior, one symmetric-Dirichlet
-    weight vector per group over the shared species, then multinomial
-    counts.  Species identity is the shared atom index."""
-    rng = np.random.default_rng(seed)
-    m = _draw_species_count(params.m_prior, rng)
-    w1 = rng.dirichlet(np.full(m, params.gamma1))
-    w2 = rng.dirichlet(np.full(m, params.gamma2))
-    c1 = rng.multinomial(n1, w1) if n1 > 0 else np.zeros(m, dtype=np.int64)
-    c2 = rng.multinomial(n2, w2) if n2 > 0 else np.zeros(m, dtype=np.int64)
-    labels = [f"sp{i:04d}" for i in range(m)]
-    return from_counts(labels, c1, c2, drop_empty=True)
 
 
 def _state_counts(state: ObservedState) -> tuple[np.ndarray, np.ndarray]:
@@ -248,10 +199,25 @@ class Experiment1Config:
 
 def _quartiles(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(median, first quartile, third quartile) along the last axis of
-    ``values``: one call each for a whole experiment's table."""
-    arr = np.asarray(values, dtype=float)
-    q1, q3 = np.quantile(arr, (0.25, 0.75), axis=-1)
-    return np.median(arr, axis=-1), q1, q3
+    ``values``, from one sort of a whole experiment's table.
+
+    The arithmetic is numpy's, so the results equal ``np.median`` and
+    ``np.quantile`` bit for bit; those import ``numpy.ma``, about 1 MB of
+    memory per process.  A quartile interpolates linearly at the virtual
+    index (n - 1) q, from the nearer end (numpy's ``_lerp``), and an
+    even-sized median is the mean of the middle two.
+    """
+    arr = np.sort(np.asarray(values, dtype=float), axis=-1)
+    n = arr.shape[-1]
+    out = []
+    for q in (0.25, 0.75):
+        index = n * q + (1.0 - q) - 1.0  # numpy's form of (n - 1) q
+        lo = math.floor(index)
+        a, b, t = arr[..., lo], arr[..., min(lo + 1, n - 1)], index - lo
+        out.append(b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t)
+    mid = arr[..., n // 2]
+    median = mid if n % 2 else (arr[..., n // 2 - 1] + mid) / 2.0
+    return median, out[0], out[1]
 
 
 def _quartile_rows(scenario: str, per_n: dict[int, dict[str, list[float]]]):
@@ -275,6 +241,13 @@ def _split_rows(scenario: str, per_split: dict[float, dict[str, list[float]]]):
             for i, pct in enumerate(per_split)]
 
 
+def _note_moved(moved: int, fits: int) -> None:
+    """One stderr line when any of a run's clamped fits moved a moment."""
+    if moved:
+        print(f"note: {moved} of {fits} fits moved a sample moment into the "
+              "model's range", file=sys.stderr)
+
+
 def run_experiment1(config: Experiment1Config) -> list[dict]:
     """Compare the model's one-step shared discovery probability against the
     Good-Turing-type baselines and the exact population value.
@@ -291,6 +264,7 @@ def run_experiment1(config: Experiment1Config) -> list[dict]:
         n: {"proposed": [], "yue": [], "chao_sh": [], "true": []}
         for n in config.grid
     }
+    moved = 0  # fits that moved a sample moment
     for _ in range(config.replications):
         pop_seed, draw_seed = root.integers(2**63, size=2)
         pop = generate_population(config.m_true, config.alpha1, config.alpha2,
@@ -307,10 +281,12 @@ def run_experiment1(config: Experiment1Config) -> list[dict]:
             per_n[n]["yue"].append(yue_estimator(counts, n, n).value)
             per_n[n]["chao_sh"].append(chao_shared_estimator(counts, n, n).value)
             per_n[n]["true"].append(true_discovery_prob(pop.p1, pop.p2, c1, c2))
-            params = fit_all(table, config.mode, clamp=True).params
-            vc = VCoefficients(params)
+            fit = fit_all(table, config.mode, clamp=True)
+            moved += fit.moved
+            vc = VCoefficients(fit.params)
             state = ObservedState.from_abundance(table)
             per_n[n]["proposed"].append(one_step_discovery_prob(vc, state))
+    _note_moved(moved, config.replications * len(config.grid))
     return _quartile_rows(scenario, per_n)
 
 
@@ -341,6 +317,7 @@ def run_experiment2(config: Experiment2Config) -> list[dict]:
     per_split: dict[float, dict[str, list[float]]] = {
         pct: {"predicted": [], "true": [], "error": []} for pct in config.splits
     }
+    moved = 0  # fits that moved a sample moment
     for _ in range(config.replications):
         pop_seed, draw_seed = root.integers(2**63, size=2)
         pop = generate_population(config.m_true, config.alpha1, config.alpha2,
@@ -359,8 +336,9 @@ def run_experiment2(config: Experiment2Config) -> list[dict]:
             table = from_counts([f"sp{i:04d}" for i in range(pop.m_true)],
                                 c1, c2, drop_empty=True)
             s_obs = table.t
-            params = fit_all(table, config.mode, clamp=True).params
-            vc = VCoefficients(params)
+            fit = fit_all(table, config.mode, clamp=True)
+            moved += fit.moved
+            vc = VCoefficients(fit.params)
             state = ObservedState.from_abundance(table)
             m_future = config.n - train
             est = expected_new(vc, state, m_future, m_future)
@@ -368,4 +346,5 @@ def run_experiment2(config: Experiment2Config) -> list[dict]:
             per_split[pct]["predicted"].append(predicted)
             per_split[pct]["true"].append(float(s_true))
             per_split[pct]["error"].append(predicted - s_true)
+    _note_moved(moved, config.replications * len(config.splits))
     return _split_rows(scenario, per_split)

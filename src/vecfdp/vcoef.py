@@ -9,7 +9,9 @@ group sample sizes ``n1`` and ``n2``:
 The series converges for every pmf q_M.  It is summed on numpy blocks by
 the package's one series kernel, :func:`vecfdp.mprior.log_series`, whose
 adaptive truncation is validated by cap-doubling invariance, a recurrence
-identity, a large-sample asymptotic expansion and mpmath oracles.
+identity, a large-sample asymptotic expansion and mpmath oracles.  At a
+large prior rate the series starts past a head that a bound shows to hold
+at most tol / 2 of it (:func:`_series_start`).
 :func:`log_v` sums one coefficient, or hands back its whole series;
 :func:`log_v_many` sums a run of r at fixed sizes as one batch of that
 kernel, with the same stopping rule and the same values.
@@ -22,13 +24,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logmath import LOG_ZERO, DomainError, log_factorial, log_gamma
+from .logmath import LOG_ZERO, DomainError, log_factorial, log_gamma, log_sum_exp
 from .mprior import MPrior, log_series
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_TERMS = 10**6
 #: terms in the first block of one batch of :func:`log_v_many`
 _BATCH_CELLS = 1 << 18
+#: shortest head worth certifying: below it, summing the head costs less
+#: than the certificate
+_HEAD_MIN = 2048
+#: grid points that place a candidate start, and the nats past log(2 / tol)
+#: the candidate lies below the grid's largest term
+_GRID = 256
+_MARGIN = 32.0
+#: width ratio of consecutive pieces of the head bound
+_GROWTH = 1.05
 
 
 @dataclass(frozen=True)
@@ -52,16 +63,95 @@ class ModelParams:
         raise DomainError(f"group must be 1 or 2, got {group}")
 
 
+def _log_d(m: np.ndarray, prior: MPrior, sizes) -> np.ndarray:
+    """D(m) = log m! + log q_M(m) - sum_j log (gamma_j m)_{n_j} on a 1-D
+    int array: the part of a V series' log term that every r shares."""
+    d = log_factorial(m)
+    d += prior.log_pmf_array(m)
+    for g, n in sizes:
+        # log Gamma at g m and at g m + n in one call, whose fixed cost
+        # is that of hundreds of entries; each name is rebound as soon
+        # as it is read, so no buffer outlives its use
+        lg = g * m
+        lg = np.concatenate((lg, lg + n))
+        lg = log_gamma(lg)
+        d += lg[:m.size]
+        d -= lg[m.size:]
+        del lg
+    return d
+
+
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct entries of a sorted array (np.unique imports numpy.ma,
+    about 1 MB of memory per process)."""
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
+
+
+def _series_start(r: int, prior: MPrior, sizes, tol: float) -> int:
+    """Where the series of V^r starts: m = max(r, 1), or a later a whose
+    head [max(r, 1), a) is certified to hold at most tol / 2 of the series.
+
+    The candidate a is one grid step left of the first point within
+    log(2 / tol) + ``_MARGIN`` nats of the largest log term on a grid that
+    is geometric in the distance below the guard (the prior's mode plus r).
+    It is kept only if a bound U(a) on the head's mass is at most tol / 2
+    times that largest term, which lies past a and so bounds the series
+    summed from a from below; otherwise the series starts at max(r, 1).
+    U(a) sums, over pieces [lo, hi) of the head, each piece's bound
+    (hi - 1)_{r fall} / prod_j (gamma_j lo)_{n_j} * Q([lo, hi)): both
+    factors of the term are monotone in m, so this holds whatever the
+    term's shape, a second mode included.  Q is the prior's own bound
+    (:meth:`vecfdp.mprior.MPrior.log_mass_bound`); a prior without one,
+    or a head shorter than ``_HEAD_MIN``, is summed from max(r, 1).  The
+    pieces are 0.1% of a wide at a and widen by ``_GROWTH`` per piece
+    below it, where the terms are smaller still.
+    """
+    first = max(r, 1)
+    guard = prior.mode() + r
+    if guard - first < _HEAD_MIN:
+        return first
+    grid = _distinct(guard - np.rint(np.expm1(
+        np.linspace(math.log1p(guard - first), 0.0, _GRID))).astype(np.int64))
+    log_t = _log_d(grid, prior, sizes)
+    log_t -= log_factorial(grid - r)
+    peak = float(log_t.max())
+    i = int(np.argmax(log_t >= peak - math.log(2.0 / tol) - _MARGIN))
+    a = int(grid[i - 1]) if i else first
+    if a - first < _HEAD_MIN:
+        return first
+    # piece k ends w0 (GROWTH^k - 1) / (GROWTH - 1) below a
+    w0 = max(1, a // 1000)
+    pieces = math.ceil(math.log1p((a - first) * (_GROWTH - 1.0) / w0) / math.log(_GROWTH)) + 1
+    ends = a - np.minimum(np.rint(w0 * np.expm1(np.arange(pieces, -1, -1) * math.log(_GROWTH))
+                                  / (_GROWTH - 1.0)).astype(np.int64), a - first)
+    ends = _distinct(ends)  # first, ..., a
+    lo, hi = ends[:-1], ends[1:]
+    log_mass = prior.log_mass_bound(lo, hi)
+    if log_mass is None:
+        return first
+    # one call per primitive, as each costs tens of microseconds
+    fall = log_factorial(np.concatenate((hi - 1, hi - 1 - r))).reshape(2, -1)
+    log_b = log_mass + fall[0] - fall[1]
+    if sizes:
+        lg = log_gamma(np.concatenate([g * lo + x for g, n in sizes for x in (n, 0)]))
+        lg = lg.reshape(-1, 2, lo.size)
+        log_b -= (lg[:, 0] - lg[:, 1]).sum(axis=0)
+    # one nat covers the rounding of log terms of size up to 10^7
+    return a if log_sum_exp(log_b) <= math.log(0.5 * tol) + peak - 1.0 else first
+
+
 def _v_rows(n1: int, n2: int, rs: np.ndarray, params: ModelParams, *,
             tol: float, max_terms: int):
     """The series of V^r_{n1,n2} for every r in ``rs`` (ascending), as one
-    batch of :func:`vecfdp.mprior.log_series`.
+    batch of :func:`vecfdp.mprior.log_series`; returns its (log totals,
+    counts, log terms) and each row's first m.
 
-    The log term at m is D(m) - log (m - r)!, with
-    D(m) = log m! + log q_M(m) - sum_j log (gamma_j m)_{n_j} shared by every
-    row: a block evaluates D once over the span of its indices and gathers
-    it, so a run of consecutive r costs about one log-gamma call per group
-    and per index, not one per cell.
+    Each row starts where :func:`_series_start` puts it, so a row of a
+    batch is the series :func:`log_v` sums for its key.  The log term at m
+    is D(m) - log (m - r)! (see :func:`_log_d`): a block evaluates D once
+    over the span of its indices and gathers it, so a run of consecutive r
+    costs about one log-gamma call per group and per index, not one per
+    cell.
     """
     if n1 < 0 or n2 < 0:
         raise DomainError(f"sample sizes must be >= 0, got ({n1}, {n2})")
@@ -71,52 +161,48 @@ def _v_rows(n1: int, n2: int, rs: np.ndarray, params: ModelParams, *,
     # convergent; the recurrence identity evaluates such coefficients.
     prior = params.m_prior
     sizes = [(float(g), n) for g, n in ((params.gamma1, n1), (params.gamma2, n2)) if n > 0]
-    starts = np.maximum(rs, 1)
-    lift = (starts - rs)[:, None]  # m - r starts at 1 on an r = 0 row, else at 0
+    # a finite support is summed exactly
+    if prior.support_max is None and prior.mode() >= _HEAD_MIN:
+        starts = np.array([_series_start(r, prior, sizes, tol) for r in rs.tolist()],
+                          dtype=np.int64)
+    else:
+        starts = np.maximum(rs, 1)
+    lift = starts - rs  # m - r at each row's first index
+    # Python's min and max: on the usual single row, far cheaper than numpy's
+    first, lifted = starts.tolist(), lift.tolist()
+    low, high, lift_low, lift_high = min(first), max(first), min(lifted), max(lifted)
+    shift = (lift - lift_low)[:, None]
 
     def log_term(m):
-        # rows ascend in r, so the block's indices span m[0, 0] .. m[-1, -1]
-        lo, width = int(m[0, 0]), m.shape[1]
-        span = np.arange(lo, int(m[-1, -1]) + 1)
-        d = log_factorial(span)
-        d += prior.log_pmf_array(span)
-        for g, n in sizes:
-            # log Gamma at g m and at g m + n in one call, whose fixed cost
-            # is that of hundreds of entries; each name is rebound as soon
-            # as it is read, so no buffer outlives its use
-            lg = g * span
-            lg = np.concatenate((lg, lg + n))
-            lg = log_gamma(lg)
-            d += lg[:span.size]
-            d -= lg[span.size:]
-            del lg
-        first = lo - int(starts[0])  # m - r at the block's first offset
-        log_fact = log_factorial(np.arange(first, first + width + 1))
-        out = d[m - lo]
-        out -= log_fact[np.arange(width) + lift]
+        off, width = int(m[0, 0] - starts[0]), m.shape[1]  # the block's first offset
+        d = _log_d(np.arange(low + off, high + off + width), prior, sizes)
+        log_fact = log_factorial(np.arange(lift_low + off, lift_high + off + width))
+        out = d[m - (low + off)]
+        out -= log_fact[shift + np.arange(width)]
         return out
 
-    return log_series(log_term, starts, prior.mode() + rs, prior.support_max,
-                      tol=tol, max_terms=max_terms)
+    total, count, terms = log_series(log_term, starts, prior.mode() + rs, prior.support_max,
+                                     tol=tol, max_terms=max_terms)
+    return total, count, terms, starts
 
 
 def log_v(n1: int, n2: int, r: int, params: ModelParams, *,
           tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS,
           series: bool = False):
-    """log V^r_{n1,n2}; with ``series``, the whole series: (log total, m,
-    log terms).
+    """log V^r_{n1,n2}; with ``series``, the series as summed: (log total,
+    m, log terms).
 
-    Summed by :func:`vecfdp.mprior.log_series` from m = max(r, 1), with the
-    prior's mode plus r as guard: the general term decays monotonically
-    only past the bulk of q_M's mass.  Finite-support priors are summed
-    exactly.
+    Summed by :func:`vecfdp.mprior.log_series` from m = max(r, 1), or from
+    the later start :func:`_series_start` certifies, with the prior's mode
+    plus r as guard: the general term decays monotonically only past the
+    bulk of q_M's mass.  Finite-support priors are summed exactly.
     """
-    total, count, terms = _v_rows(n1, n2, np.array([r], dtype=np.int64), params,
-                                  tol=tol, max_terms=max_terms)
+    total, count, terms, starts = _v_rows(n1, n2, np.array([r], dtype=np.int64), params,
+                                          tol=tol, max_terms=max_terms)
     if not series:
         return float(total[0])
     n = int(count[0])
-    return float(total[0]), max(r, 1) + np.arange(n), terms[0, :n]
+    return float(total[0]), int(starts[0]) + np.arange(n), terms[0, :n]
 
 
 def log_v_many(n1: int, n2: int, rs, params: ModelParams, *,

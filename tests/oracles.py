@@ -15,29 +15,38 @@ species runs cell by cell with a double loop per cell, and its global
 marginal one k at a time.  The posterior of M* is also kept whole, with
 no cut at either end (:class:`WholeWindowV` runs every law on it); the
 central GFC table is filled row by row; and the experiments' quartile rows
-come from numpy calls one cell at a time.  The start of the Poisson
+come from numpy calls one cell at a time.  A V series is also summed from
+m = max(r, 1), head included.  The start of the Poisson
 prior's window is also taken from scipy's Poisson quantile.  The scalar
-log factorials and binomials these loops use, and the large-sample
-expansion of V, live here too: nothing in the package calls them.
+log factorials and binomials these loops use, the large-sample expansion
+of V, and the tests' data makers (a table written as CSV, multinomial
+draws from a synthetic population, forward samples of the model) live
+here too: nothing in the package calls them.
 """
 
 from __future__ import annotations
 
+import csv
 import math
+from dataclasses import dataclass
+from pathlib import Path
 
 import mpmath
 import numpy as np
 from scipy.special import gammaln, logsumexp, pdtr, pdtrik
 
+from vecfdp.abundance import EXPECTED_HEADER, AbundanceTable, from_counts
 from vecfdp.gfc import build_central_table, log_noncentral_row
 from vecfdp.logmath import _DIRECT, _STIRLING, LOG_ZERO, DomainError, log_pochhammer, log_sum_exp
+from vecfdp.mprior import OneShiftedPoisson, PointMass, TabulatedPrior, log_series
 from vecfdp.pmftable import PmfTable
 from vecfdp.prediction import (
     ExpectedNew,
     ObservedState,
     _log_v_ratios,
 )
-from vecfdp.vcoef import VCoefficients, log_v
+from vecfdp.simulate import SyntheticPopulation
+from vecfdp.vcoef import ModelParams, VCoefficients, log_v
 
 
 def log_falling_factorial(m: float, r: int) -> float:
@@ -448,6 +457,26 @@ def posterior_marginal_global_new_loop(vc: VCoefficients, state: ObservedState,
     return PmfTable(entries)
 
 
+def v_series_from_head(n1: int, n2: int, r: int, params, *, tol: float = 1e-12,
+                       max_terms: int = 10**6):
+    """The series of V^r_{n1,n2} summed from m = max(r, 1), head and all, by
+    the package's series kernel on scipy log-gamma terms: (log total, m,
+    log terms).  The package starts a large-rate series later, where a
+    bound shows the head negligible."""
+    prior, first = params.m_prior, max(r, 1)
+
+    def log_term(m):
+        out = gammaln(m + 1.0) - gammaln(m - r + 1.0) + prior.log_pmf_array(m)
+        for g, n in ((params.gamma1, n1), (params.gamma2, n2)):
+            out -= gammaln(g * m + n) - gammaln(g * m)
+        return out
+
+    total, count, terms = log_series(log_term, first, prior.mode() + r, prior.support_max,
+                                     tol=tol, max_terms=max_terms)
+    n = int(count[0])
+    return float(total[0]), first + np.arange(n), terms[0, :n]
+
+
 def whole_posterior(vc: VCoefficients, n1: int, n2: int, r: int):
     """(m*, log weights) of the posterior of M* over the whole V series:
     its nonzero terms shifted by their peak, with no cut at either end."""
@@ -506,3 +535,61 @@ def split_rows_loop(scenario: str, per_split: dict[float, dict[str, list[float]]
             "error_median": float(np.median(err_arr)),
         })
     return rows
+
+
+def write_csv(table: AbundanceTable, path) -> None:
+    """Write a table in the format :func:`vecfdp.abundance.ingest` reads."""
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(EXPECTED_HEADER)
+        for label, c1, c2 in zip(table.labels, table.counts1, table.counts2):
+            writer.writerow([label, int(c1), int(c2)])
+
+
+@dataclass(frozen=True)
+class SampleDraw:
+    """Raw per-species sample counts aligned with the population arrays."""
+
+    counts1: np.ndarray
+    counts2: np.ndarray
+
+    def table(self) -> AbundanceTable:
+        m = self.counts1.size
+        labels = [f"sp{i:04d}" for i in range(m)]
+        return from_counts(labels, self.counts1, self.counts2, drop_empty=True)
+
+
+def draw_sample(population: SyntheticPopulation, n1: int, n2: int,
+                seed: int) -> SampleDraw:
+    """Multinomial samples of sizes (n1, n2) from the two populations."""
+    rng = np.random.default_rng(seed)
+    c1 = rng.multinomial(n1, population.p1) if n1 > 0 else np.zeros(
+        population.m_true, dtype=np.int64)
+    c2 = rng.multinomial(n2, population.p2) if n2 > 0 else np.zeros(
+        population.m_true, dtype=np.int64)
+    return SampleDraw(counts1=c1.astype(np.int64), counts2=c2.astype(np.int64))
+
+
+def _draw_species_count(prior, rng) -> int:
+    if isinstance(prior, OneShiftedPoisson):
+        return 1 + int(rng.poisson(prior.lam))
+    if isinstance(prior, PointMass):
+        return prior.m0
+    if isinstance(prior, TabulatedPrior):
+        return 1 + int(rng.choice(prior.probs.size, p=prior.probs))
+    raise DomainError(f"cannot sample from prior of type {type(prior).__name__}")
+
+
+def generative_vecfdp_sample(params: ModelParams, n1: int, n2: int,
+                             seed: int) -> AbundanceTable:
+    """Forward sample: species count from its prior, one symmetric-Dirichlet
+    weight vector per group over the shared species, then multinomial
+    counts.  Species identity is the shared atom index."""
+    rng = np.random.default_rng(seed)
+    m = _draw_species_count(params.m_prior, rng)
+    w1 = rng.dirichlet(np.full(m, params.gamma1))
+    w2 = rng.dirichlet(np.full(m, params.gamma2))
+    c1 = rng.multinomial(n1, w1) if n1 > 0 else np.zeros(m, dtype=np.int64)
+    c2 = rng.multinomial(n2, w2) if n2 > 0 else np.zeros(m, dtype=np.int64)
+    labels = [f"sp{i:04d}" for i in range(m)]
+    return from_counts(labels, c1, c2, drop_empty=True)

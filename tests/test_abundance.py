@@ -7,8 +7,9 @@ from vecfdp.abundance import (
     ants_table,
     from_counts,
     ingest,
-    write_csv,
 )
+
+from oracles import write_csv
 
 
 def write(tmp_path, text, name="data.csv"):

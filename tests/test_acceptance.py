@@ -26,7 +26,7 @@ from vecfdp.logmath import LOG_ZERO
 from vecfdp.mprior import OneShiftedPoisson, prior_window
 from vecfdp.vcoef import ModelParams, VCoefficients, log_v
 
-from oracles import log_noncentral_gfc, log_v_asymptotic
+from oracles import generative_vecfdp_sample, log_noncentral_gfc, log_v_asymptotic
 
 GAMMAS = (0.3, 1.0, 3.0)
 LAMBDAS = (0.5, 2.0, 8.0)
@@ -270,7 +270,7 @@ def test_criterion_09_estimation_round_trip():
             worst_gamma = max(worst_gamma,
                               abs(fit_gamma(ss, window) - gamma) / gamma)
     params = ModelParams(0.8, 1.6, OneShiftedPoisson(5.0))
-    table = simulate.generative_vecfdp_sample(params, 20000, 20000, seed=295)
+    table = generative_vecfdp_sample(params, 20000, 20000, seed=295)
     fit = fit_all(table, "plug_in")
     rels = (abs(fit.lam - 5.0) / 5.0,
             abs(fit.params.gamma1 - 0.8) / 0.8,

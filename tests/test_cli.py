@@ -11,21 +11,23 @@ import pytest
 
 import vecfdp
 from vecfdp import prediction
-from vecfdp.abundance import ants_csv_path, ingest, write_csv
+from vecfdp.abundance import ants_csv_path, ingest
 from vecfdp.cli import build_parser, main
 from vecfdp.logmath import log_sum_exp
 from vecfdp.mprior import OneShiftedPoisson
 from vecfdp.prediction import ObservedState, one_step_discovery_prob
-from vecfdp.simulate import draw_sample, generate_population
+from vecfdp.simulate import generate_population
 from vecfdp.vcoef import ModelParams, VCoefficients
 
 from oracles import (
+    draw_sample,
     expected_new_moments_mp,
     prior_joint_global_shared_loop,
     prior_joint_loop,
     prior_marginal_global_loop,
     simpson_moment_mp,
     uncapped_coverage_prob,
+    write_csv,
 )
 
 
@@ -209,6 +211,23 @@ def test_predict_large_rate_posterior_normalized(capsys):
     report = json.loads(out)
     assert report["posterior_unseen"]["pmf"]["total_mass"] == pytest.approx(
         1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("extra", [(), ("--m1", "3", "--m2", "4")])
+def test_ants_at_rate_one_million_answers(capsys, extra):
+    # the series' head from m = r alone would pass max_terms; it starts
+    # where a bound shows that head negligible
+    command = "predict" if extra else "discover"
+    code, out, err = run(capsys, command, str(ants_csv_path()), *extra,
+                         "--lam", "1e6", "--gamma1", "1", "--gamma2", "1")
+    assert code == 0, err
+    report = json.loads(out)
+    if extra:
+        assert report["posterior_unseen"]["pmf"]["total_mass"] == pytest.approx(
+            1.0, abs=1e-10)
+    else:
+        assert sum(p["value"] for p in report["one_step_shared_pmf"].values()) == (
+            pytest.approx(1.0, abs=1e-10))
 
 
 def test_predict_partial_params_rejected(capsys, toy_csv):
@@ -468,6 +487,34 @@ def test_option_a_subcommand_does_not_read_is_usage_error(capsys, monkeypatch, t
     code, out, err = run(capsys, *argv, option, _OPTION_VALUE[option])
     assert code == 1
     assert f"unrecognized arguments: {option}" in err and out == ""
+
+
+@pytest.mark.parametrize("command,argv,option", [
+    ("simulate", ["simulate", "--experiment", "2", "--grid", "10:20:5"], "--grid"),
+    ("simulate", ["simulate", "--experiment", "1", "--n", "30"], "--n"),
+    *((c, [c, "{toy}", *extra, "--lam", "3", "--gamma1", "1", "--gamma2", "0.8",
+           "--mode", "unbiased"], "--mode")
+      for c, extra in (("insample", []), ("predict", ["--m1", "1", "--m2", "1"]),
+                       ("discover", []), ("curve", []))),
+])
+def test_option_a_configuration_does_not_read_is_usage_error(capsys, monkeypatch, toy_csv,
+                                                             command, argv, option):
+    from vecfdp import cli
+
+    def never(args):
+        raise AssertionError(f"{command} ran with {option}")
+
+    monkeypatch.setattr(cli, f"_cmd_{command}", never)
+    code, out, err = run(capsys, *(a.format(toy=toy_csv) for a in argv))
+    assert code == 1
+    assert f"argument {option}" in err and out == ""
+
+
+def test_mode_is_read_when_the_model_is_fitted(capsys, toy_csv):
+    code, out, _ = run(capsys, "discover", toy_csv, "--mode", "unbiased")
+    assert code == 0 and json.loads(out)["params"]["source"] == "fit (unbiased)"
+    code, out, _ = run(capsys, "discover", toy_csv)
+    assert code == 0 and json.loads(out)["params"]["source"] == "fit (plug_in)"
 
 
 def test_validate_passes(capsys):

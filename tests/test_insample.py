@@ -10,6 +10,7 @@ from vecfdp.pmftable import PmfTable
 from vecfdp.vcoef import ModelParams, VCoefficients
 
 from oracles import (
+    generative_vecfdp_sample,
     prior_joint_global_shared_loop,
     prior_joint_loop,
     prior_marginal_global_loop,
@@ -237,7 +238,7 @@ def test_expected_matches_generative_sampler(vc):
     root = np.random.default_rng(42)
     stats = np.zeros((n_rep, 4))
     for i in range(n_rep):
-        table = simulate.generative_vecfdp_sample(PARAMS, n1, n2,
+        table = generative_vecfdp_sample(PARAMS, n1, n2,
                                                   int(root.integers(2**63)))
         stats[i] = (table.r1, table.r2, table.r, table.t)
     exact = insample.expected_in_sample(vc, n1, n2)

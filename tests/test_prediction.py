@@ -19,6 +19,7 @@ from oracles import (
     log_noncentral_row_stream,
     posterior_joint_new_loop,
     posterior_marginal_global_new_loop,
+    v_series_from_head,
     WholeWindowV,
 )
 
@@ -305,14 +306,17 @@ def test_bimodal_posterior_window_keeps_both_modes(ants):
 
 
 def test_posterior_window_short_at_large_rate(ants):
-    # at lam = 3e4 the series runs over 3e4 terms, of which a few thousand
-    # carry the posterior's mass
+    # at lam = 3e4 the whole series from m = r runs over 3e4 terms, of which
+    # a few thousand carry the posterior's mass; the series starts past
+    # most of the rest, at a head certified negligible
     state, params = ants
     params = ModelParams(params.gamma1, params.gamma2, OneShiftedPoisson(3e4))
     vc = VCoefficients(params)
     m_star, _ = vc.posterior(state.n1, state.n2, state.r)
     _, m, _ = vc.v_series(state.n1, state.n2, state.r)
-    assert 5 * m_star.size <= m.size
+    _, whole_m, _ = v_series_from_head(state.n1, state.n2, state.r, params)
+    assert 5 * m_star.size <= whole_m.size
+    assert 2 * m.size <= whole_m.size
     # the window is cut once per key and served from the cache
     assert vc.posterior(state.n1, state.n2, state.r)[0] is m_star
 

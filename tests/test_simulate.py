@@ -9,7 +9,12 @@ from vecfdp.logmath import DomainError
 from vecfdp.mprior import OneShiftedPoisson, PointMass
 from vecfdp.vcoef import ModelParams, VCoefficients
 
-from oracles import quartile_rows_loop, split_rows_loop
+from oracles import (
+    draw_sample,
+    generative_vecfdp_sample,
+    quartile_rows_loop,
+    split_rows_loop,
+)
 
 PARAMS = ModelParams(1.2, 0.7, OneShiftedPoisson(2.5))
 
@@ -51,19 +56,19 @@ def test_population_domain():
 
 def test_draw_sample_totals_and_determinism():
     pop = simulate.generate_population(20, 0.8, 0.85, seed=3)
-    draw = simulate.draw_sample(pop, 40, 60, seed=4)
+    draw = draw_sample(pop, 40, 60, seed=4)
     assert draw.counts1.sum() == 40
     assert draw.counts2.sum() == 60
-    again = simulate.draw_sample(pop, 40, 60, seed=4)
+    again = draw_sample(pop, 40, 60, seed=4)
     assert np.array_equal(draw.counts1, again.counts1)
-    empty = simulate.draw_sample(pop, 0, 0, seed=4)
+    empty = draw_sample(pop, 0, 0, seed=4)
     assert empty.counts1.sum() == 0 and empty.counts2.sum() == 0
 
 
 def test_draw_sample_expected_counts():
     pop = simulate.generate_population(10, 0.8, 0.8, seed=5)
     n = 100_000
-    draw = simulate.draw_sample(pop, n, 0, seed=6)
+    draw = draw_sample(pop, n, 0, seed=6)
     for m in range(10):
         p = pop.p1[m]
         sigma = math.sqrt(n * p * (1 - p))
@@ -73,7 +78,7 @@ def test_draw_sample_expected_counts():
 def test_generative_point_mass_single_species():
     params = ModelParams(1.0, 1.0, PointMass(1))
     for seed in range(5):
-        table = simulate.generative_vecfdp_sample(params, 7, 9, seed)
+        table = generative_vecfdp_sample(params, 7, 9, seed)
         assert table.summary() == {"n1": 7, "n2": 9, "r1": 1, "r2": 1,
                                    "r": 1, "t": 1, "r1_star": 0, "r2_star": 0}
 
@@ -85,7 +90,7 @@ def test_generative_matches_exact_single_pair_law():
     root = np.random.default_rng(12)
     hits = {}
     for _ in range(n_rep):
-        t = simulate.generative_vecfdp_sample(PARAMS, 1, 1,
+        t = generative_vecfdp_sample(PARAMS, 1, 1,
                                               int(root.integers(2**63)))
         key = (t.r, t.r1, t.r2)
         hits[key] = hits.get(key, 0) + 1
@@ -101,7 +106,7 @@ def test_generative_local_marginal_agreement():
     root = np.random.default_rng(13)
     hits = {}
     for _ in range(n_rep):
-        t = simulate.generative_vecfdp_sample(PARAMS, 3, 1,
+        t = generative_vecfdp_sample(PARAMS, 3, 1,
                                               int(root.integers(2**63)))
         hits[t.r1] = hits.get(t.r1, 0) + 1
     tv = 0.5 * sum(abs(hits.get(k, 0) / n_rep - exact.prob(k))
@@ -155,6 +160,27 @@ def test_fit_all_clamped_handles_no_shared_species():
     params = fit_all(table, clamp=True).params
     assert params.m_prior.lam > 0
     assert params.gamma1 > 0 and params.gamma2 > 0
+
+
+def test_clamped_fit_records_a_moved_moment():
+    # no shared species: cp = 0 moves to 1/(n1 n2), so lam is about n1 n2
+    table = simulate.from_counts(["a", "b"], [3, 0], [0, 4])
+    fit = fit_all(table, clamp=True)
+    assert fit.moved and fit.lam == pytest.approx(12.0, rel=1e-5)
+    assert not fit_all(simulate.from_counts(["a", "b"], [3, 1], [1, 4]), clamp=True).moved
+    assert not fit_all(simulate.from_counts(["a", "b"], [3, 1], [1, 4])).moved
+
+
+def test_experiments_note_moved_fits_on_stderr(capsys):
+    # a training sample of two draws per group from 60 species shares none,
+    # so each fit at split 0.1 of n = 20 moves cp, and none at 0.5 does
+    cfg = simulate.Experiment2Config(n=20, splits=(0.1, 0.5), replications=3, seed=5)
+    simulate.run_experiment2(cfg)
+    assert capsys.readouterr().err == (
+        "note: 3 of 6 fits moved a sample moment into the model's range\n")
+    cfg = simulate.Experiment1Config(grid=(30, 60), replications=2, seed=17)
+    simulate.run_experiment1(cfg)
+    assert capsys.readouterr().err == ""
 
 
 def test_experiment1_deterministic_and_shaped():

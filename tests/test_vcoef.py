@@ -3,14 +3,16 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vecfdp.abundance import ants_table
 from vecfdp.estimation import fit_all
-from vecfdp.logmath import LOG_ZERO, ConvergenceError, DomainError
+from vecfdp.logmath import LOG_ZERO, ConvergenceError, DomainError, log_sum_exp
 from vecfdp.mprior import OneShiftedPoisson, PointMass, TabulatedPrior
 from vecfdp.vcoef import ModelParams, VCoefficients, log_v, log_v_many
 
-from oracles import log_v_asymptotic
+from oracles import log_v_asymptotic, v_series_from_head
 
 
 def mp_series_oracle(n1, n2, r, gamma1, gamma2, lam, terms=2000, start=None):
@@ -20,8 +22,12 @@ def mp_series_oracle(n1, n2, r, gamma1, gamma2, lam, terms=2000, start=None):
         total = mpmath.mpf(0)
         q = mpmath.e ** (-lam) * mpmath.mpf(lam) ** (start - 1) / mpmath.factorial(start - 1)
         for m in range(start, start + terms):
-            fall = mpmath.ff(m, r)
-            total += fall * q / (mpmath.rf(gamma1 * m, n1) * mpmath.rf(gamma2 * m, n2))
+            # the factorials as products: exact in integers, and at 60 digits
+            # for the rising ones, several times faster than mpmath.ff and rf
+            fall = math.prod(range(m - r + 1, m + 1))
+            rise = mpmath.fprod(mpmath.mpf(g * m) + i
+                                for g, n in ((gamma1, n1), (gamma2, n2)) for i in range(n))
+            total += fall * q / rise
             q *= mpmath.mpf(lam) / m
         return float(mpmath.log(total))
 
@@ -87,6 +93,7 @@ def test_against_high_cap_oracle():
     (5, 5, 4, 1.0, 1.0, 0.5),
     (1, 6, 3, 2.5, 0.3, 8.0),
     (3, 2, 2, 0.7, 1.4, 1e5),
+    (3, 2, 2, 0.7, 1.4, 1e6),
 ])
 def test_two_group_against_oracle(n1, n2, r, g1, g2, lam):
     params = ModelParams(g1, g2, OneShiftedPoisson(lam))
@@ -94,6 +101,48 @@ def test_two_group_against_oracle(n1, n2, r, g1, g2, lam):
     oracle = mp_window_oracle if lam >= 1e3 else mp_series_oracle
     assert log_v(n1, n2, r, params) == pytest.approx(
         oracle(n1, n2, r, g1, g2, lam), rel=1e-10)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(n1=st.integers(0, 3000), n2=st.integers(0, 3000), extra=st.integers(0, 3),
+       g1=st.floats(-4.0, 0.5), g2=st.floats(-4.0, 0.5), lam=st.floats(3.3, 4.7),
+       tol=st.sampled_from([1e-12, 1e-8]), data=st.data())
+def test_certified_head_is_negligible(n1, n2, extra, g1, g2, lam, tol, data):
+    # the head a series skips holds at most tol / 2 of the whole series,
+    # checked against the series summed from max(r, 1); gammas from 1e-4
+    # to 3 and rates from 2e3 to 5e4, log-uniform.  The totals differ by
+    # that head and by the rounding of log terms near lam log lam, as the
+    # two sides take their log-gammas from different code
+    r = data.draw(st.integers(0, n1 + n2 + extra))
+    params = ModelParams(10.0 ** g1, 10.0 ** g2, OneShiftedPoisson(10.0 ** lam))
+    total, m, _ = log_v(n1, n2, r, params, tol=tol, series=True)
+    whole, whole_m, whole_terms = v_series_from_head(n1, n2, r, params, tol=tol)
+    assert m[0] >= max(r, 1)
+    head = whole_terms[whole_m < m[0]]
+    if head.size:
+        assert log_sum_exp(head) <= math.log(0.5 * tol) + whole + 1e-9
+    assert total == pytest.approx(whole, rel=1e-11)
+
+
+def test_large_rate_series_skips_its_head():
+    # on ants at gamma = 1 and lam = 1e5 the series from m = r holds
+    # 100 007 terms; the posterior's mass lies within a few thousand
+    table = ants_table()
+    params = ModelParams(1.0, 1.0, OneShiftedPoisson(1e5))
+    _, m, _ = log_v(table.n1, table.n2, table.r, params, series=True)
+    assert m.size <= 10_000
+
+
+def test_bimodal_series_keeps_its_head():
+    # at gamma = 1 and this rate the posterior of M* on ants has a mode at
+    # M* = 3 and another near 2995: no start past r has a small head
+    table = ants_table()
+    params = ModelParams(1.0, 1.0, OneShiftedPoisson(6815.7155))
+    _, m, terms = log_v(table.n1, table.n2, table.r, params, series=True)
+    assert m[0] == table.r
+    low = m[np.argmax(np.where(m - table.r < 589, terms, LOG_ZERO))] - table.r
+    high = m[np.argmax(np.where(m - table.r > 589, terms, LOG_ZERO))] - table.r
+    assert low == 3 and abs(high - 2995) <= 5
 
 
 def test_tabulated_prior_finite_sum():
