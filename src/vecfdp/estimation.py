@@ -9,8 +9,9 @@ closed-form prior moments
     E(sum_m w_{j,m}^2)        = (1+g_j) E(1/(1+g_j M))      -> gamma_j
 
 The first equation involves only lambda; given lambda the two gamma
-conditions decouple.  Each is one bracketed root search on the log of the
-parameter, between brackets that follow from bounds on the moment map.
+conditions decouple.  Each is one safeguarded Newton search on the log of
+the parameter, from a start below the root and between brackets that follow
+from bounds on the moment map.
 """
 
 from __future__ import annotations
@@ -30,9 +31,11 @@ from .mprior import (
 from .vcoef import ModelParams
 
 
-#: relative rounding of a window sum, with room: no root is resolved more
-#: finely, and an ss whose rho (fit_gamma) is this close to 1 has none
-_ROUNDING = 16 * np.finfo(float).eps
+#: units of rounding of a window sum, with room: a moment within this many
+#: ulp of its target is solved, no root is resolved more finely in relative
+#: terms, and an ss whose rho (fit_gamma) is this close to 1 has none
+_ULPS = 16
+_ROUNDING = _ULPS * np.finfo(float).eps
 
 
 class MomentRangeError(ValueError):
@@ -81,27 +84,45 @@ def diversity_stats(table, mode: str = "plug_in") -> DiversityStats:
     return DiversityStats(ss1=ss1, ss2=ss2, cp=cp, mode=mode)
 
 
-def _solve_increasing(f, lo: float, hi: float, what: str) -> float:
-    """Root of the increasing f inside (lo, hi), where f(lo) < 0 < f(hi)
-    unless rounding put the root out of reach: regula falsi on log x, halving
-    the f of an end kept twice in a row (Illinois), so both ends close in."""
-    a, b, fa, fb = math.log(lo), math.log(hi), f(lo), f(hi)
-    if not fa < 0.0 < fb:
-        raise MomentRangeError(
-            f"rounding puts the root for {what} outside [{lo:.6g}, {hi:.6g}]")
-    moved = 0  # -1 or 1 when the last step moved a or b
-    while b - a > _ROUNDING * (1.0 + abs(a) + abs(b)):
-        x = a - fa * (b - a) / (fb - fa)
-        if not a < x < b:
-            x = 0.5 * (a + b)
-        fx = f(math.exp(x))
-        if fx == 0.0:
+def _solve_increasing(f, lo: float, start: float, hi: float, target: float,
+                      what: str) -> float:
+    """Root of f(x) = F(x) - target, F increasing, inside (lo, hi), where
+    F(lo) < target < F(hi) unless rounding put the root out of reach.
+
+    Newton's method on log x from ``start``, safeguarded as rtsafe
+    (Numerical Recipes, section 9.4): ``f(x)`` returns f and its slope
+    df / dlog x, each point evaluated replaces the bracket end on its side,
+    and a step that would leave the bracket, or that is not half the step
+    before the last, bisects instead.  The ends themselves are never evaluated.
+    Stops once |f| is within ``_ULPS`` ulp of the target, or a Newton step
+    is below ``_ROUNDING``; a bracket that closes on an end no evaluated
+    point replaced means rounding put the root there.
+    """
+    a, b = math.log(lo), math.log(hi)
+    x = math.log(start) if lo < start < hi else 0.5 * (a + b)
+    slack, closed = _ULPS * math.ulp(target), [False, False]  # ends replaced
+    older = last = b - a  # the steps before the last and the last
+    while True:
+        fx, slope = f(math.exp(x))
+        if abs(fx) <= slack:
             return math.exp(x)
         if fx < 0.0:
-            a, fa, fb, moved = x, fx, fb * (0.5 if moved < 0 else 1.0), -1
+            a, closed[0] = x, True
         else:
-            b, fb, fa, moved = x, fx, fa * (0.5 if moved > 0 else 1.0), 1
-    return math.exp(0.5 * (a + b))
+            b, closed[1] = x, True
+        if b - a <= _ROUNDING * (1.0 + abs(a) + abs(b)):
+            if not all(closed):
+                raise MomentRangeError(
+                    f"rounding puts the root for {what} outside [{lo:.6g}, {hi:.6g}]")
+            return math.exp(0.5 * (a + b))
+        step = fx / slope if slope > 0.0 else math.inf
+        newton = a < x - step < b and abs(2.0 * step) <= abs(older)
+        if not newton:
+            step = x - 0.5 * (a + b)
+        older, last = last, step
+        x -= step
+        if newton and abs(step) <= _ROUNDING * (1.0 + abs(x)):
+            return math.exp(x)
 
 
 def expected_cross_moment(lam: float) -> float:
@@ -109,28 +130,41 @@ def expected_cross_moment(lam: float) -> float:
     return expected_inverse_m(OneShiftedPoisson(lam))
 
 
-def _simpson_excess(gamma: float, window: PriorWindow) -> float:
-    """1 - (1 + gamma) E(1/(1 + gamma M)) = gamma E[(M-1)/(1+gamma M)]."""
-    return gamma * window.mean((window.m - 1.0) / (1.0 + gamma * window.m))
+def _simpson_pass(gamma: float, window: PriorWindow) -> tuple[float, float]:
+    """h(gamma) = 1 - (1 + gamma) E(1/(1 + gamma M)) = gamma E[(M-1)/(1+gamma M)]
+    and its slope dh / dlog gamma = gamma E[(M-1)/(1+gamma M)^2], from one
+    pass over the window."""
+    den = 1.0 + gamma * window.m
+    u = (window.m - 1.0) / den
+    h = gamma * window.mean(u)
+    u /= den
+    return h, gamma * window.mean(u)
 
 
 def expected_simpson_moment(gamma: float, window: PriorWindow) -> float:
     """Forward map gamma -> (1 + gamma) E(1 / (1 + gamma M)) over the
     prior's window."""
-    return 1.0 - _simpson_excess(gamma, window)
+    return 1.0 - _simpson_pass(gamma, window)[0]
 
 
 def fit_lambda(cp: float) -> float:
-    """Invert E(1/M) = cp for the species-count rate lambda.  The map falls
-    from 1 to 0, and 1 - lam/2 <= (1 - e^{-lam})/lam <= 1/lam puts the root
-    in [2(1 - cp), 1/cp]; the bracket is [1 - cp, 2/cp], as a tight end can
-    be the root itself in floating point (lambda = 1/cp at small cp)."""
+    """Invert E(1/M) = cp for the species-count rate lambda.  The map
+    (1 - e^{-lam})/lam falls from 1 to 0 with slope e^{-lam} - E(1/M) in
+    log lam.  As 1/(1 + lam), 1 - lam/2 <= E(1/M) <= 1/lam, the root lies in
+    [max(2(1 - cp), 1/cp - 1), 1/cp], and Newton's method starts at the
+    lower end; the bracket is [1 - cp, 2/cp], as a tight end can be the root
+    itself in floating point (lambda = 1/cp at small cp)."""
     if not (0.0 < cp < 1.0):
         raise MomentRangeError(
             f"cross-product moment must lie in (0, 1), got {cp}; a value at or "
             "above 1 has no positive-rate solution")
-    return _solve_increasing(lambda lam: cp - expected_cross_moment(lam),
-                             1.0 - cp, 2.0 / cp, f"cp = {cp}")
+
+    def f(lam):
+        moment = expected_cross_moment(lam)
+        return cp - moment, moment - math.exp(-lam)
+
+    return _solve_increasing(f, 1.0 - cp, max(2.0 * (1.0 - cp), 1.0 / cp - 1.0),
+                             2.0 / cp, cp, f"cp = {cp}")
 
 
 def fit_gamma(ss: float, window: PriorWindow) -> float:
@@ -142,7 +176,10 @@ def fit_gamma(ss: float, window: PriorWindow) -> float:
     does not cancel near ss = 1.  As gamma/(1+gamma) (1 - E(1/M)) <= h(gamma)
     <= gamma E[M-1], the root is in [(1-ss)/E[M-1], rho/(1-rho)],
     rho = (1-ss)/(1-E(1/M)); the bracket halves the lower end and takes
-    (1+rho)/2 for rho at the upper one.
+    (1+rho)/2 for rho at the upper one.  Newton's method starts at the
+    root for a point mass at mu = E[M], gamma0 = (1-ss) / ((mu-1) - (1-ss) mu):
+    (M-1)/(1+gamma M) is concave in M, so by Jensen's inequality h(gamma0)
+    <= 1 - ss and gamma0 lies at or below the root.
     """
     if ss >= 1.0:
         raise MomentRangeError(
@@ -152,10 +189,16 @@ def fit_gamma(ss: float, window: PriorWindow) -> float:
         raise MomentRangeError(
             f"Simpson moment {ss} is not above E(1/M) = {1.0 - top:.6g} by more "
             "than rounding, the gamma -> infinity limit; no root")
-    rho = excess / top
-    return _solve_increasing(lambda g: _simpson_excess(g, window) - excess,
-                             0.5 * excess / window.mean(window.m - 1.0),
-                             (1.0 + rho) / (1.0 - rho), f"ss = {ss}")
+    rho, below = excess / top, window.mean(window.m - 1.0)  # below = E[M] - 1
+    den = below - excess * (below + 1.0)  # positive but for rounding
+
+    def f(g):
+        h, slope = _simpson_pass(g, window)
+        return h - excess, slope
+
+    return _solve_increasing(f, 0.5 * excess / below,
+                             excess / den if den > 0.0 else math.inf,
+                             (1.0 + rho) / (1.0 - rho), excess, f"ss = {ss}")
 
 
 @dataclass(frozen=True)
@@ -195,7 +238,7 @@ def fit_all(table, mode: str = "plug_in", *, clamp: bool = False) -> FitResult:
         targets = [min(max(ss, lower + margin), 1.0 - margin) for ss in targets]
     window = prior_window(prior)
     gammas = [fit_gamma(ss, window) for ss in targets]
-    residuals = [abs(_simpson_excess(g, window) - (1.0 - ss))
+    residuals = [abs(_simpson_pass(g, window)[0] - (1.0 - ss))
                  for g, ss in zip(gammas, targets)]
     moved = (cp, *targets) != (stats.cp, stats.ss1, stats.ss2)
     return FitResult(ModelParams(*gammas, m_prior=prior), stats,

@@ -5,8 +5,9 @@ The model is agnostic to this distribution: every downstream quantity only
 needs the pmf ``q_M`` on arrays of m.  Three variants are provided: the
 1-shifted Poisson used by default, a point mass (useful for exact finite
 checks), and an arbitrary tabulated pmf.  :func:`log_series` sums the V
-coefficients, the posterior of the unseen species count and the prior's
-window, over which every prior expectation is a dot product.
+coefficients and the posterior of the unseen species count; every prior
+expectation is a dot product over the prior's window, whose two ends are
+taken in closed form (:func:`prior_window`).
 """
 
 from __future__ import annotations
@@ -123,6 +124,12 @@ class MPrior(ABC):
         mass below it is at most eps."""
         return 1
 
+    def tail(self, eps: float) -> int:
+        """An end m for expectations of functions bounded by 1: the prior
+        mass past it is at most eps.  A finite support ends at its last
+        point; a prior with unbounded support overrides this."""
+        return self.support_max
+
     def log_mass_bound(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
         """log of an upper bound on the prior mass of each piece [lo, hi)
         (int arrays, lo < hi), or None for a prior that offers none."""
@@ -158,34 +165,60 @@ class OneShiftedPoisson(MPrior):
         # piece carries more than the piece's point nearest the mode
         return np.log(hi - lo) + self.log_pmf_array(np.clip(self.mode(), lo, hi - 1))
 
+    def _log_tail_bound(self, j: float, lower: bool) -> float:
+        """log of the geometric bound on P(X <= j) (``lower``) or P(X >= j)
+        for the count X = M - 1: P(X = j) / (1 - j / lam) below lam, and
+        P(X = j) / (1 - lam / (j + 1)) above it, as the terms fall by
+        ratios of at most j / lam below j and lam / (j + 1) past it."""
+        lam = self.lam
+        ratio = j / lam if lower else lam / (j + 1.0)
+        return j * math.log(lam) - lam - math.lgamma(j + 1.0) - math.log1p(-ratio)
+
+    def _crossing(self, log_eps: float, lower: bool) -> float:
+        """Where the bound of :meth:`_log_tail_bound` crosses eps: Newton's
+        method on its log from the Gaussian point, with the slope's
+        digamma(a + 1) ~ log(a + 1/2); a step goes at most halfway to lam
+        (or lam - 1), where the bound's pole lies."""
+        lam, side = self.lam, -1.0 if lower else 1.0
+        pole = lam if lower else lam - 1.0
+        a = max(lam + side * math.sqrt(-2.0 * lam * log_eps), 0.0)
+        for _ in range(100):
+            pole_slope = 1.0 / (lam - a) if lower else -lam / ((a + 1.0) * (a + 1.0 - lam))
+            slope = math.log(lam) - math.log(a + 0.5) + pole_slope
+            step = (log_eps - self._log_tail_bound(a, lower)) / slope
+            a = min(a + step, 0.5 * (a + pole)) if lower else max(a + step, 0.5 * (a + pole))
+            if abs(step) < 1e-3:
+                break
+        return a
+
     def head(self, eps: float) -> int:
-        # 2 + j, j the largest integer below lam with the geometric tail
-        # bound P(X <= j) <= P(X = j) / (1 - j / lam) at most eps, for the
-        # count X = M - 1 (below j its terms fall by ratios of at most
-        # j / lam); so the mass of M below the start is at most eps.  The
-        # bound rises with j; Newton's method on its log finds the crossing
-        # from the Gaussian point, then j is settled by stepping.
+        # 2 + j, j the largest integer below lam with P(X <= j) bounded by
+        # eps (see _log_tail_bound), so the mass of M below the start is at
+        # most eps.  The bound rises with j; j is settled by stepping from
+        # the crossing.
         lam, log_eps = self.lam, math.log(eps)
         if -lam > log_eps:  # P(X = 0) = e^{-lam} is already above eps
             return 1
-        log_lam = math.log(lam)
-
-        def log_bound(a):
-            return a * log_lam - lam - math.lgamma(a + 1.0) - math.log1p(-a / lam)
-
-        a = max(lam - math.sqrt(-2.0 * lam * log_eps), 0.0)
-        for _ in range(100):
-            # the slope, with digamma(a + 1) ~ log(a + 1/2)
-            step = (log_eps - log_bound(a)) / (log_lam - math.log(a + 0.5) + 1.0 / (lam - a))
-            a = min(a + step, 0.5 * (a + lam))
-            if abs(step) < 1e-3:
-                break
-        j = min(max(math.floor(a), 0), math.ceil(lam) - 1)
-        while j > 0 and log_bound(j) > log_eps:
+        j = min(max(math.floor(self._crossing(log_eps, True)), 0), math.ceil(lam) - 1)
+        while j > 0 and self._log_tail_bound(j, True) > log_eps:
             j -= 1
-        while j + 1 < lam and log_bound(j + 1) <= log_eps:
+        while j + 1 < lam and self._log_tail_bound(j + 1, True) <= log_eps:
             j += 1
         return 2 + j
+
+    def tail(self, eps: float) -> int:
+        # j, the least integer past lam - 1 with P(X >= j) bounded by eps,
+        # so the mass of M past the end, P(M >= j + 1), is at most eps.
+        # The bound falls with j; j is settled by stepping from the
+        # crossing.
+        log_eps = math.log(eps)
+        least = math.floor(self.lam)  # the least j with j + 1 > lam
+        j = max(math.ceil(self._crossing(log_eps, False)), least)
+        while self._log_tail_bound(j, False) > log_eps:
+            j += 1
+        while j > least and self._log_tail_bound(j - 1, False) <= log_eps:
+            j -= 1
+        return j
 
 
 @dataclass(frozen=True)
@@ -203,6 +236,9 @@ class PointMass(MPrior):
         return np.where(m == self.m0, 0.0, LOG_ZERO)
 
     def mode(self) -> int:
+        return self.m0
+
+    def head(self, eps: float) -> int:
         return self.m0
 
 
@@ -235,9 +271,9 @@ class TabulatedPrior(MPrior):
 @dataclass(frozen=True, eq=False)
 class PriorWindow:
     """The prior pmf ``q`` at the consecutive points ``m`` (int64) that its
-    expectations sum over: one :func:`log_series` run from the prior's head,
-    guarded by its mode.  ``q`` totals one, which cancels to first order the
-    mass left past the window (about tol * sqrt(lam) at a Poisson rate lam)."""
+    expectations sum over: from the prior's head to its tail, each end
+    leaving out at most eps = min(tol / 1000, 1e-15) of the mass.  ``q`` is
+    normalized to total one."""
 
     m: np.ndarray
     q: np.ndarray
@@ -251,12 +287,21 @@ class PriorWindow:
 
 def prior_window(prior: MPrior, *, tol: float = 1e-12,
                  max_terms: int = 10**6) -> PriorWindow:
-    """The :class:`PriorWindow` of ``prior`` at series tolerance ``tol``."""
-    start = prior.head(min(tol * 1e-3, 1e-15))
-    log_total, count, log_q = log_series(prior.log_pmf_array, start, prior.mode(),
-                                         prior.support_max, tol=tol, max_terms=max_terms)
-    m = start + np.arange(count[0], dtype=np.int64)
-    return PriorWindow(m, np.exp(log_q[0, :m.size] - log_total[0]))
+    """The :class:`PriorWindow` of ``prior`` at series tolerance ``tol``:
+    one pmf evaluation over [head, tail], normalized in linear space below
+    its largest term.  A window of more than ``max_terms`` points raises
+    ``ConvergenceError``."""
+    eps = min(tol * 1e-3, 1e-15)
+    start, end = prior.head(eps), prior.tail(eps)
+    if end - start >= max_terms:
+        raise ConvergenceError(
+            f"prior window from m = {start} to {end} needs more than {max_terms} terms")
+    m = np.arange(start, end + 1, dtype=np.int64)
+    q = prior.log_pmf_array(m)
+    q -= q.max()
+    np.exp(q, out=q)
+    q /= np.add.reduce(q)
+    return PriorWindow(m, q)
 
 
 def expectation(prior: MPrior, f, *, tol: float = 1e-12,

@@ -44,6 +44,9 @@ from .vcoef import VCoefficients
 
 #: cells of the coverage lattice and of the (k, M*) ratio matrix per block
 _LATTICE_BLOCK = 1 << 16
+#: a log term this far below the peak adds nothing to a sum of at least 1;
+#: exp is tens of times slower near the least normal double, e^-708.4
+_EXP_FLOOR = -700.0
 
 
 @dataclass(frozen=True)
@@ -112,13 +115,20 @@ def posterior_m_pmf(vc: VCoefficients, state: ObservedState) -> PmfTable:
              prod_j (gamma_j (m*+r))_{n_j} ],   m* = 0, 1, 2, ...
 
     The masses are the terms of the V^r_{n1,n2} series divided by their own
-    total, so the support is the window that series summed, from its
-    certified start (see :mod:`vecfdp.vcoef`), and the pmf is normalized by
-    construction.  Note q*(0) > 0: the sample may already
-    have exhausted the species pool.
+    sum, taken in linear space below the largest term as
+    :meth:`VCoefficients.posterior` takes it (log V, up to 10^7 in size,
+    would carry its rounding into every mass), so the support is the window
+    that series summed, from its certified start (see :mod:`vecfdp.vcoef`),
+    and the pmf is normalized by construction.  Note q*(0) > 0: the sample
+    may already have exhausted the species pool.
     """
-    log_norm, m, terms = vc.v_series(state.n1, state.n2, state.r)
-    return PmfTable.from_arrays(m - state.r, terms - log_norm)
+    _, m, terms = vc.v_series(state.n1, state.n2, state.r)
+    peak = terms.max(initial=LOG_ZERO)
+    if peak == LOG_ZERO:  # V is zero: no mass to report
+        return PmfTable.from_arrays(m - state.r, terms)
+    shifted = terms - peak
+    total = np.add.reduce(np.exp(np.maximum(shifted, _EXP_FLOOR)))
+    return PmfTable.from_arrays(m - state.r, shifted - math.log(total))
 
 
 def _log_miss(c: np.ndarray, g: float, m: int) -> np.ndarray:
@@ -128,9 +138,20 @@ def _log_miss(c: np.ndarray, g: float, m: int) -> np.ndarray:
     three log1p terms of the result's size.  c = g gives -inf."""
     head = min(m, _DIRECT)
     out = np.zeros(np.shape(c))
-    with np.errstate(divide="ignore"):
-        for i in range(head):  # a factor at a time: memory O(len(c)), not O(head len(c))
-            out += np.log1p(-g / (c + i))
+    if head:
+        # the head factors as one (head, len(c)) array per block of about
+        # _LATTICE_BLOCK cells (memory O(len(c))), summed along its first
+        # axis: row after row, in the order a loop over the factors adds them
+        i = np.arange(head, dtype=float)[:, None]
+        step = max(1, _LATTICE_BLOCK // head)
+        with np.errstate(divide="ignore"):
+            for lo in range(0, out.size, step):
+                block = slice(lo, lo + step)
+                x = c[block] + i
+                np.divide(g if np.ndim(g) == 0 else g[block], x, out=x)
+                np.negative(x, out=x)
+                np.log1p(x, out=x)
+                np.add.reduce(x, axis=0, out=out[block])
     if m > head:
         x, a = c + head, m - head
         y = x - g

@@ -68,16 +68,13 @@ def _log_d(m: np.ndarray, prior: MPrior, sizes) -> np.ndarray:
     int array: the part of a V series' log term that every r shares."""
     d = log_factorial(m)
     d += prior.log_pmf_array(m)
-    for g, n in sizes:
-        # log Gamma at g m and at g m + n in one call, whose fixed cost
-        # is that of hundreds of entries; each name is rebound as soon
-        # as it is read, so no buffer outlives its use
-        lg = g * m
-        lg = np.concatenate((lg, lg + n))
-        lg = log_gamma(lg)
-        d += lg[:m.size]
-        d -= lg[m.size:]
-        del lg
+    if sizes:
+        # log Gamma at g m and at g m + n of both groups in one call, whose
+        # fixed cost is that of hundreds of entries
+        lg = log_gamma(np.concatenate([g * m + x for g, n in sizes for x in (0, n)]))
+        for pair in lg.reshape(-1, 2, m.size):
+            d += pair[0]
+            d -= pair[1]
     return d
 
 

@@ -17,7 +17,9 @@ no cut at either end (:class:`WholeWindowV` runs every law on it); the
 central GFC table is filled row by row; and the experiments' quartile rows
 come from numpy calls one cell at a time.  A V series is also summed from
 m = max(r, 1), head included.  The start of the Poisson
-prior's window is also taken from scipy's Poisson quantile.  The scalar
+prior's window is also taken from scipy's Poisson quantile, and the window
+itself is also summed by the series kernel's stopping rule.  The moment fit
+is also solved by regula falsi with the Illinois rule.  The scalar
 log factorials and binomials these loops use, the large-sample expansion
 of V, and the tests' data makers (a table written as CSV, multinomial
 draws from a synthetic population, forward samples of the model) live
@@ -36,9 +38,26 @@ import numpy as np
 from scipy.special import gammaln, logsumexp, pdtr, pdtrik
 
 from vecfdp.abundance import EXPECTED_HEADER, AbundanceTable, from_counts
+from vecfdp.estimation import expected_cross_moment
 from vecfdp.gfc import build_central_table, log_noncentral_row
-from vecfdp.logmath import _DIRECT, _STIRLING, LOG_ZERO, DomainError, log_pochhammer, log_sum_exp
-from vecfdp.mprior import OneShiftedPoisson, PointMass, TabulatedPrior, log_series
+from vecfdp.logmath import (
+    _DIRECT,
+    _STIRLING,
+    LOG_ZERO,
+    DomainError,
+    _stirling_gap,
+    log_factorial as log_factorial_array,
+    log_gamma,
+    log_pochhammer,
+    log_sum_exp,
+)
+from vecfdp.mprior import (
+    OneShiftedPoisson,
+    PointMass,
+    PriorWindow,
+    TabulatedPrior,
+    log_series,
+)
 from vecfdp.pmftable import PmfTable
 from vecfdp.prediction import (
     ExpectedNew,
@@ -207,6 +226,33 @@ def _log_miss(c: float, g: float, m: int) -> float:
     return out
 
 
+def log_miss_by_factor(c: np.ndarray, g, m: int) -> np.ndarray:
+    """``prediction._log_miss`` with its head factors added to the result
+    one array at a time, in a Python loop."""
+    head = min(m, _DIRECT)
+    out = np.zeros(np.shape(c))
+    with np.errstate(divide="ignore"):
+        for i in range(head):
+            out += np.log1p(-g / (c + i))
+    if m > head:
+        x, a = c + head, m - head
+        y = x - g
+        out += ((x - 0.5) * np.log1p(g * a / (y * (x + a))) - g * np.log1p(a / y)
+                + a * np.log1p(-g / (x + a)) + _stirling_gap(y, a) - _stirling_gap(x, a))
+    return out
+
+
+def log_d_by_group(m: np.ndarray, prior, sizes) -> np.ndarray:
+    """``vcoef._log_d`` with one log-gamma call per group."""
+    d = log_factorial_array(m)
+    d += prior.log_pmf_array(m)
+    for g, n in sizes:
+        lg = log_gamma(np.concatenate((g * m, g * m + n)))
+        d += lg[:m.size]
+        d -= lg[m.size:]
+    return d
+
+
 def expected_new_moments_loop(vc: VCoefficients, state: ObservedState,
                               m1: int, m2: int) -> ExpectedNew:
     """The moment route of ``expected_new``, one posterior entry at a time:
@@ -290,6 +336,71 @@ def simpson_moment_mp(gamma, lam, dps: int = 30):
             total += q / (1 + g * m)
             q *= rate / m
         return (1 + g) * total
+
+
+def prior_window_by_series(prior, *, tol: float = 1e-12,
+                           max_terms: int = 10**6) -> PriorWindow:
+    """The prior's window summed by the series kernel from the prior's head,
+    guarded by its mode and stopped by the kernel's adaptive rule (about
+    tol * sqrt(lam) of the mass left past it at a Poisson rate lam),
+    normalized by the log total."""
+    start = prior.head(min(tol * 1e-3, 1e-15))
+    log_total, count, log_q = log_series(prior.log_pmf_array, start, prior.mode(),
+                                         prior.support_max, tol=tol, max_terms=max_terms)
+    m = start + np.arange(count[0], dtype=np.int64)
+    return PriorWindow(m, np.exp(log_q[0, :m.size] - log_total[0]))
+
+
+#: relative rounding of a window sum, with room: the Illinois search
+#: resolves no root more finely
+ILLINOIS_ROUNDING = 16 * np.finfo(float).eps
+
+
+def solve_increasing_illinois(f, lo: float, hi: float) -> float:
+    """Root of the increasing f inside (lo, hi), where f(lo) < 0 < f(hi):
+    regula falsi on log x, halving the f of an end kept twice in a row
+    (Illinois), so both ends close in.  Raises ValueError when rounding put
+    the root outside."""
+    a, b, fa, fb = math.log(lo), math.log(hi), f(lo), f(hi)
+    if not fa < 0.0 < fb:
+        raise ValueError(f"no sign change on [{lo:.6g}, {hi:.6g}]")
+    moved = 0  # -1 or 1 when the last step moved a or b
+    while b - a > ILLINOIS_ROUNDING * (1.0 + abs(a) + abs(b)):
+        x = a - fa * (b - a) / (fb - fa)
+        if not a < x < b:
+            x = 0.5 * (a + b)
+        fx = f(math.exp(x))
+        if fx == 0.0:
+            return math.exp(x)
+        if fx < 0.0:
+            a, fa, fb, moved = x, fx, fb * (0.5 if moved < 0 else 1.0), -1
+        else:
+            b, fb, fa, moved = x, fx, fa * (0.5 if moved > 0 else 1.0), 1
+    return math.exp(0.5 * (a + b))
+
+
+def fit_lambda_illinois(cp: float, wrap=None) -> float:
+    """fit_lambda's root by the Illinois search on its bracket
+    [1 - cp, 2/cp]; ``wrap``, if given, wraps the moment function."""
+    def moment(lam):
+        return cp - expected_cross_moment(lam)
+
+    return solve_increasing_illinois(wrap(moment) if wrap else moment, 1.0 - cp, 2.0 / cp)
+
+
+def fit_gamma_illinois(ss: float, window: PriorWindow, wrap=None) -> float:
+    """fit_gamma's root by the Illinois search on its bracket
+    [(1-ss) / (2 E[M-1]), (1+rho)/(1-rho)], rho = (1-ss)/(1-E(1/M));
+    ``wrap``, if given, wraps the moment function."""
+    excess, top = 1.0 - ss, window.mean((window.m - 1.0) / window.m)
+    rho = excess / top
+
+    def moment(g):  # h(g) = g E[(M-1)/(1+g M)], less its target
+        return g * window.mean((window.m - 1.0) / (1.0 + g * window.m)) - excess
+
+    return solve_increasing_illinois(wrap(moment) if wrap else moment,
+                                     0.5 * excess / window.mean(window.m - 1.0),
+                                     (1.0 + rho) / (1.0 - rho))
 
 
 def prior_joint_loop(vc: VCoefficients, n1: int, n2: int) -> PmfTable:

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import math
 
+import numpy as np
 import pytest
 
-from vecfdp import estimation
+from vecfdp import estimation, simulate
 from vecfdp.abundance import from_counts
 from vecfdp.estimation import (
     MomentRangeError,
@@ -17,7 +20,7 @@ from vecfdp.logmath import DomainError
 from vecfdp.mprior import OneShiftedPoisson, PointMass, prior_window
 from vecfdp.vcoef import ModelParams
 
-from oracles import generative_vecfdp_sample
+from oracles import fit_gamma_illinois, fit_lambda_illinois, generative_vecfdp_sample
 
 
 def table(c1, c2):
@@ -152,3 +155,100 @@ def test_fit_all_generative_round_trip():
     assert fit.lam == pytest.approx(5.0, rel=0.25)
     assert fit.params.gamma1 == pytest.approx(0.8, rel=0.25)
     assert fit.params.gamma2 == pytest.approx(1.6, rel=0.25)
+
+
+@pytest.fixture
+def count_passes(monkeypatch):
+    """Counts the gamma fit's window passes in ``passes[0]``."""
+    passes = [0]
+    real = estimation._simpson_pass
+
+    def counted(gamma, window):
+        passes[0] += 1
+        return real(gamma, window)
+
+    monkeypatch.setattr(estimation, "_simpson_pass", counted)
+    return passes
+
+
+def counting(counter):
+    """Wraps a moment function of the Illinois oracle to count its calls."""
+    def wrap(f):
+        def counted(x):
+            counter[0] += 1
+            return f(x)
+        return counted
+    return wrap
+
+
+def test_roots_match_illinois_oracle_on_round_trip_grid():
+    # test_acceptance's criterion 9 grid
+    for lam in (0.01, 0.1, 1.0, 5.0, 20.0, 50.0):
+        cp = expected_cross_moment(lam)
+        assert fit_lambda(cp) == pytest.approx(fit_lambda_illinois(cp), rel=1e-12)
+    for lam in (0.5, 2.0, 10.0):
+        window = prior_window(OneShiftedPoisson(lam))
+        for gamma in (0.05, 0.5, 2.0, 20.0):
+            ss = expected_simpson_moment(gamma, window)
+            assert fit_gamma(ss, window) == pytest.approx(
+                fit_gamma_illinois(ss, window), rel=1e-12)
+
+
+@pytest.mark.parametrize("lam", [1e-3, 0.1, 0.5, 2.0, 17.0, 70.0, 300.0, 1600.0,
+                                 3e4, 1e5, 1e6])
+def test_gamma_roots_to_rounding_in_fewer_passes_than_illinois(lam, count_passes):
+    window = prior_window(OneShiftedPoisson(lam))
+    lower = 1.0 - window.mean((window.m - 1.0) / window.m)  # E(1/M)
+    for frac in (1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9, 1 - 1e-3, 1 - 1e-6, 1 - 1e-9):
+        ss = lower + frac * (1.0 - lower)
+        count_passes[0] = 0
+        gamma = fit_gamma(ss, window)
+        # h(gamma) = gamma E[(M-1)/(1+gamma M)] against its target 1 - ss
+        h = gamma * window.mean((window.m - 1.0) / (1.0 + gamma * window.m))
+        assert abs(h - (1.0 - ss)) <= 16 * math.ulp(1.0 - ss), frac
+        evals = [0]
+        fit_gamma_illinois(ss, window, counting(evals))
+        assert count_passes[0] <= evals[0], frac
+
+
+@pytest.fixture(scope="module")
+def harness_tables():
+    """The tables the experiment harnesses fit in 40 replicates, with seeds
+    drawn as the benchmark's fitted workload draws them at seed 0."""
+    tables, real = [], simulate.fit_all
+
+    def capture(table, mode, *, clamp=False):
+        tables.append(table)
+        return real(table, mode, clamp=clamp)
+
+    rng = np.random.default_rng([0, 2])
+    simulate.fit_all = capture
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            for _ in range(20):
+                simulate.run_experiment1(simulate.Experiment1Config(
+                    replications=1, seed=int(rng.integers(1, 2**31))))
+                simulate.run_experiment2(simulate.Experiment2Config(
+                    replications=1, seed=int(rng.integers(1, 2**31))))
+    finally:
+        simulate.fit_all = real
+    return tables
+
+
+def test_harness_fits_match_illinois_in_few_passes(harness_tables, count_passes):
+    assert len(harness_tables) == 340
+    for table in harness_tables:
+        fit = fit_all(table, "plug_in", clamp=True)
+        # the moments fit_all solves for, clamped as it clamps them
+        stats = fit.stats
+        cp = min(max(stats.cp, 1.0 / (table.n1 * table.n2)), 1.0 - 1e-10)
+        assert fit.lam == pytest.approx(fit_lambda_illinois(cp), rel=1e-12)
+        window = prior_window(fit.params.m_prior)
+        lower = estimation.expected_inverse_m(fit.params.m_prior)
+        margin = 1e-9 * (1.0 - lower)
+        for ss, gamma in ((stats.ss1, fit.params.gamma1), (stats.ss2, fit.params.gamma2)):
+            ss = min(max(ss, lower + margin), 1.0 - margin)
+            count_passes[0] = 0
+            assert fit_gamma(ss, window) == gamma
+            assert count_passes[0] <= 6
+            assert gamma == pytest.approx(fit_gamma_illinois(ss, window), rel=1e-12)

@@ -5,7 +5,7 @@ import pytest
 
 from vecfdp import prediction as pred
 from vecfdp import simulate
-from vecfdp.abundance import ants_table
+from vecfdp.abundance import ants_table, from_counts
 from vecfdp.estimation import fit_all
 from vecfdp.logmath import LOG_ZERO, DomainError, log_pochhammer
 from vecfdp.mprior import OneShiftedPoisson, PointMass
@@ -15,6 +15,7 @@ from oracles import (
     expected_new_moments_loop,
     expected_new_moments_mp,
     lattice_coverage_prob,
+    log_miss_by_factor,
     log_noncentral_gfc,
     log_noncentral_row_stream,
     posterior_joint_new_loop,
@@ -81,10 +82,12 @@ def test_posterior_m_normalization_and_mean(vc):
     state = pred.ObservedState(5, 5, 3, 2, 3)
     pmf = pred.posterior_m_pmf(vc, state)
     assert pmf.total_mass() == pytest.approx(1.0, abs=1e-10)
-    # the V series' window and terms, as arrays
-    log_norm, m, terms = log_v(5, 5, 3, vc.params, series=True)
+    # the V series' window and terms, as arrays, over their own sum taken
+    # in linear space below the largest term
+    _, m, terms = log_v(5, 5, 3, vc.params, series=True)
     assert pmf.keys.tolist() == (m - 3).tolist()
-    assert pmf.log_mass.tolist() == (terms - log_norm).tolist()
+    shifted = terms - terms.max()
+    assert pmf.log_mass.tolist() == (shifted - math.log(np.exp(shifted).sum())).tolist()
     assert len(pmf.entries) == len(pmf)
     assert pmf.mean() == pytest.approx(pred.posterior_m_mean(vc, state),
                                        rel=1e-8)
@@ -96,6 +99,11 @@ def test_posterior_m_point_mass_support():
     pmf = pred.posterior_m_pmf(vc, STATE)
     assert pmf.support() == [2]
     assert pmf.prob(2) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_posterior_m_point_mass_below_r_is_empty():
+    vc = VCoefficients(ModelParams(1.0, 1.0, PointMass(2)))
+    assert len(pred.posterior_m_pmf(vc, STATE)) == 0
 
 
 @pytest.mark.parametrize("n1,n2,r1,r2,r", [
@@ -457,3 +465,33 @@ def test_extrapolation_rows(vc):
     cov = [row["coverage_prob"] for row in rows]
     assert all(a <= b + 1e-12 for a, b in zip(e_k, e_k[1:]))
     assert all(a >= b - 1e-12 for a, b in zip(cov, cov[1:]))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def test_log_miss_equals_factor_loop_bit_for_bit():
+    # one (head, len(c)) array per block, summed along its first axis, adds
+    # the factors in the loop's order; long c spans several blocks
+    rng = np.random.default_rng(7)
+    for size in (1, 5, 300, 9000):
+        c = np.sort(rng.uniform(0.5, 3e4, size))
+        for m in (0, 1, 4, 16, 17, 250):
+            for g in (0.7, c - c[0]):
+                assert np.array_equal(_bits(pred._log_miss(c, g, m)),
+                                      _bits(log_miss_by_factor(c, g, m))), (size, m)
+
+
+@pytest.mark.parametrize("lam", [1e3, 3e4, 1e5, 1e6])
+def test_posterior_m_mass_is_one_at_large_rates(lam):
+    vc = VCoefficients(ModelParams(1.0, 1.0, OneShiftedPoisson(lam)))
+    pmf = pred.posterior_m_pmf(vc, pred.ObservedState.from_abundance(ants_table()))
+    assert abs(pmf.total_mass() - 1.0) <= 1e-14
+
+
+def test_posterior_m_mass_is_one_on_two_species_table():
+    table = from_counts(["a", "b"], [10**6, 1], [1, 10**6])
+    vc = VCoefficients(fit_all(table).params)
+    pmf = pred.posterior_m_pmf(vc, pred.ObservedState.from_abundance(table))
+    assert abs(pmf.total_mass() - 1.0) <= 1e-14

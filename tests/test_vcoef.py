@@ -10,9 +10,9 @@ from vecfdp.abundance import ants_table
 from vecfdp.estimation import fit_all
 from vecfdp.logmath import LOG_ZERO, ConvergenceError, DomainError, log_sum_exp
 from vecfdp.mprior import OneShiftedPoisson, PointMass, TabulatedPrior
-from vecfdp.vcoef import ModelParams, VCoefficients, log_v, log_v_many
+from vecfdp.vcoef import ModelParams, VCoefficients, _log_d, log_v, log_v_many
 
-from oracles import log_v_asymptotic, v_series_from_head
+from oracles import log_d_by_group, log_v_asymptotic, v_series_from_head
 
 
 def mp_series_oracle(n1, n2, r, gamma1, gamma2, lam, terms=2000, start=None):
@@ -294,3 +294,13 @@ def test_log_v_many_convergence_error_on_tiny_cap():
     params = ModelParams(1.0, 1.0, OneShiftedPoisson(50.0))
     with pytest.raises(ConvergenceError):
         log_v_many(2, 2, np.arange(1, 4), params, max_terms=5)
+
+
+def test_log_d_one_log_gamma_call_equals_one_per_group():
+    # each log-gamma value depends on its own argument only, so both groups
+    # in one call give the per-group values bit for bit
+    m = np.arange(1, 5000, dtype=np.int64)
+    for prior in (OneShiftedPoisson(3e3), PointMass(40)):
+        for sizes in ([], [(0.7, 12)], [(0.7, 12), (2.5, 300)], [(1.0, 1)]):
+            assert np.array_equal(_log_d(m, prior, sizes).view(np.int64),
+                                  log_d_by_group(m, prior, sizes).view(np.int64))
