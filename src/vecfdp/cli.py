@@ -31,7 +31,6 @@ from .prediction import (
     ObservedState,
     expected_new,
     extrapolation_curves,
-    one_step_ratios,
     one_step_shared_pmf,
     posterior_m_mean,
     posterior_m_pmf,
@@ -313,9 +312,8 @@ def _cmd_discover(args) -> dict:
     table = ingest(args.table)
     vc, meta = _model_from_args(args, table)
     state = ObservedState.from_abundance(table)
-    lr = one_step_ratios(vc, state)  # read by both laws: formed once
-    pmf = one_step_shared_pmf(vc, state, lr=lr)
-    pair = predictive_pair_probs(vc, state, lr=lr)
+    pmf = one_step_shared_pmf(vc, state)
+    pair = predictive_pair_probs(vc, state)
     return {
         "command": "discover",
         "input": {"path": args.table, **table.summary()},

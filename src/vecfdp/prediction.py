@@ -9,12 +9,15 @@ factorial coefficients |C(m, k; -gamma_j, -(gamma_j r_j + n_j))|.  Every
 ratio V^{r+k}_{n1+m1,n2+m2} / V^r_{n1,n2} is an expectation over the
 posterior of the unseen species count M*, from one helper,
 :func:`_log_v_ratios`: no law subtracts two logs of V, which reach 10^7 at
-sample sizes of 10^6.  The posterior is read on a window,
-:meth:`VCoefficients.posterior`: the V series cut at both ends to all but
-tol of its mass, which moves a probability by at most tol.  The ratios
+sample sizes of 10^6.  The evaluator forms the posterior once per key
+(:meth:`VCoefficients.posterior`) and keeps its last run of ratios, so
+laws called in turn on one future size share that size's ratios.
+The posterior is read on a window: the V series cut at both ends to all
+but tol of its mass, which moves a probability by at most tol.  The ratios
 vanish past the window's largest M*, K (4 on the ants table at its fitted
 parameters), so each law asks for its rows only up to the k it reads, and
-a row costs O(m K) time, not O(m^2).
+a row costs O(m K) time, not O(m^2).  GFC rows stay per law: the laws read
+rows of different shifts and lengths.
 
 The joint law of new species (k, k1, k2) and its global marginal k are one
 log-space contraction, :func:`_log_new_species`:
@@ -44,9 +47,6 @@ from .vcoef import VCoefficients
 
 #: cells of the coverage lattice and of the (k, M*) ratio matrix per block
 _LATTICE_BLOCK = 1 << 16
-#: a log term this far below the peak adds nothing to a sum of at least 1;
-#: exp is tens of times slower near the least normal double, e^-708.4
-_EXP_FLOOR = -700.0
 
 
 @dataclass(frozen=True)
@@ -114,21 +114,17 @@ def posterior_m_pmf(vc: VCoefficients, state: ObservedState) -> PmfTable:
     q*(m*) = (m*+r)_{r fall} q_M(m*+r) / [ V^r_{n1,n2}
              prod_j (gamma_j (m*+r))_{n_j} ],   m* = 0, 1, 2, ...
 
-    The masses are the terms of the V^r_{n1,n2} series divided by their own
-    sum, taken in linear space below the largest term as
-    :meth:`VCoefficients.posterior` takes it (log V, up to 10^7 in size,
-    would carry its rounding into every mass), so the support is the window
+    The masses are those of :meth:`VCoefficients.posterior`: the terms of
+    the V^r_{n1,n2} series over their own sum, so the support is the window
     that series summed, from its certified start (see :mod:`vecfdp.vcoef`),
     and the pmf is normalized by construction.  Note q*(0) > 0: the sample
-    may already have exhausted the species pool.
+    may already have exhausted the species pool.  A V of zero gives an
+    empty table.
     """
-    _, m, terms = vc.v_series(state.n1, state.n2, state.r)
-    peak = terms.max(initial=LOG_ZERO)
-    if peak == LOG_ZERO:  # V is zero: no mass to report
-        return PmfTable.from_arrays(m - state.r, terms)
-    shifted = terms - peak
-    total = np.add.reduce(np.exp(np.maximum(shifted, _EXP_FLOOR)))
-    return PmfTable.from_arrays(m - state.r, shifted - math.log(total))
+    if vc.log_v(state.n1, state.n2, state.r) == LOG_ZERO:  # no mass to report
+        return PmfTable({})
+    post = vc.posterior(state.n1, state.n2, state.r)
+    return PmfTable.from_arrays(post.m_star, post.log_pmf)
 
 
 def _log_miss(c: np.ndarray, g: float, m: int) -> np.ndarray:
@@ -176,19 +172,21 @@ def _log_v_ratios(vc: VCoefficients, n1: int, n2: int, r: int,
 
         E[(M*)_{k fall} / prod_j (g_j (r + M*) + n_j)_{m_j} | n1, n2, r]
 
-    over the window of :meth:`VCoefficients.posterior`.  No two logs of V
-    (up to 10^7 in size) are subtracted.  Each ratio is the weighted sum
-    over the weights' own sum, taken the same way, so k = 0 at
-    m1 = m2 = 0 gives exactly 0; past the window's largest M* the entries
-    are -inf.  An entry's error is absolute, bounded by the posterior mass
-    left out of the window: the series' own truncation, plus at most tol
-    from the cut at its two ends.  A law that weighs these entries into a
-    probability therefore moves by at most about tol.  At k near m1 + m2,
-    where (M*)_{k fall} weighs the upper tail most, a tiny entry can lose
-    much of its relative accuracy.  The (k, M*) matrix is reduced on blocks
-    of about ``_LATTICE_BLOCK`` cells.
+    over the window of :meth:`VCoefficients.posterior`; the laws read each
+    run through :func:`_ratios`.  No two logs of V (up to 10^7 in size) are
+    subtracted.  Each ratio is the weighted sum over the weights' own sum,
+    taken the same way, so k = 0 at m1 = m2 = 0 gives exactly 0; past the
+    window's largest M* the entries are -inf.  An entry's error is
+    absolute, bounded by the posterior mass left out of the window: the
+    series' own truncation, plus at most tol from the cut at its two ends.
+    A law that weighs these entries into a probability therefore moves by
+    at most about tol.  At k near m1 + m2, where (M*)_{k fall} weighs the
+    upper tail most, a tiny entry can lose much of its relative accuracy.
+    The (k, M*) matrix is reduced on blocks of about ``_LATTICE_BLOCK``
+    cells.
     """
-    m_star, lw = vc.posterior(n1, n2, r)
+    post = vc.posterior(n1, n2, r)
+    m_star, lw = post.window, post.log_w
     tilted = lw.copy()
     for g, n, m in ((vc.params.gamma1, n1, m1), (vc.params.gamma2, n2, m2)):
         if m:
@@ -215,13 +213,28 @@ def _log_v_ratios(vc: VCoefficients, n1: int, n2: int, r: int,
     return out
 
 
+def _ratios(vc: VCoefficients, n1: int, n2: int, r: int, m1: int, m2: int) -> np.ndarray:
+    """The run of :func:`_log_v_ratios`, read-only.  The evaluator keeps
+    the last run formed, so laws called in turn on one future size share
+    it; a curve, whose every point is a new size, keeps one run, not one
+    per point."""
+    if m1 < 0 or m2 < 0:
+        raise DomainError("future sample sizes must be >= 0")
+    key = (n1, n2, r, m1, m2)
+    last = getattr(vc, "_last_ratios", None)
+    if last is not None and last[0] == key:
+        return last[1]
+    lr = _log_v_ratios(vc, *key)
+    lr.flags.writeable = False
+    vc._last_ratios = (key, lr)
+    return lr
+
+
 def posterior_m_mean(vc: VCoefficients, state: ObservedState) -> float:
     """E(M* | data) = V^{r+1}_{n1,n2} / V^r_{n1,n2}, the mean over the
-    window of :meth:`VCoefficients.posterior`, normalized in linear space
-    as :func:`expected_new` normalizes it."""
-    m_star, lw = vc.posterior(state.n1, state.n2, state.r)
-    q = np.exp(lw)
-    return float(np.sum(q * m_star) / np.sum(q))
+    window of :meth:`VCoefficients.posterior`."""
+    post = vc.posterior(state.n1, state.n2, state.r)
+    return float(np.add.reduce(post.q * post.window))
 
 
 def _last_finite(lr: np.ndarray) -> int:
@@ -287,10 +300,8 @@ def posterior_joint_new(vc: VCoefficients, state: ObservedState,
     both futures.  This is :func:`_log_new_species` with the rows
     x1[k1, a] = log|C(m1, k1; ...)| + log k1! + log binom(r2*, k1-a) and x2.
     """
-    if m1 < 0 or m2 < 0:
-        raise DomainError("future sample sizes must be >= 0")
     g1, g2 = vc.params.gamma1, vc.params.gamma2
-    lr = _log_v_ratios(vc, state.n1, state.n2, state.r, m1, m2)
+    lr = _ratios(vc, state.n1, state.n2, state.r, m1, m2)
     top = _last_finite(lr)
     # k_j = a + (k_j - a) with a <= k <= top brand-new species and
     # k_j - a <= r_other* seen only in the other group
@@ -317,10 +328,8 @@ def posterior_marginal_global_new(vc: VCoefficients, state: ObservedState,
     shift here is gamma_j * r + n_j (global r): the marginal never needs to
     know which of the r species each group has seen.
     """
-    if m1 < 0 or m2 < 0:
-        raise DomainError("future sample sizes must be >= 0")
     g1, g2 = vc.params.gamma1, vc.params.gamma2
-    lr = _log_v_ratios(vc, state.n1, state.n2, state.r, m1, m2)
+    lr = _ratios(vc, state.n1, state.n2, state.r, m1, m2)
     top = _last_finite(lr)
     x1, x2 = (row + log_factorial(np.arange(row.size)) for row in (
         log_noncentral_row(m1, g1, g1 * state.r + state.n1, kmax=top),
@@ -340,13 +349,11 @@ def posterior_local_new(vc: VCoefficients, state: ObservedState, m: int,
     only, so it need not match the joint law's marginal when the other
     group has data.
     """
-    if m < 0:
-        raise DomainError("future sample size must be >= 0")
     gamma = vc.params.gamma(group)
     n_j = state.n1 if group == 1 else state.n2
     r_j = state.r1 if group == 1 else state.r2
     sizes = (n_j, 0, r_j, m, 0) if group == 1 else (0, n_j, r_j, 0, m)
-    lr = _log_v_ratios(vc, *sizes)
+    lr = _ratios(vc, *sizes)
     row = log_noncentral_row(m, gamma, gamma * r_j + n_j, kmax=_last_finite(lr))
     return PmfTable.from_arrays(np.arange(row.size), lr[: row.size] + row)
 
@@ -361,16 +368,16 @@ def shared_coverage_prob(vc: VCoefficients, state: ObservedState,
 
     The V ratios depend on the cell only through k1 + k2 and vanish past
     the posterior window's largest M*, K (4 on the ants table at its
-    fitted parameters).  So one :func:`_log_v_ratios` call comes first, and
-    each row runs its recurrence only up to column K.  The lattice's
-    (K + 1) x (K + 1) corner is summed in log space, on blocks of about
-    ``_LATTICE_BLOCK`` cells; its cells past k1 + k2 = K add zero.  That is
-    O((m1 + m2) K + K^2) time and O(m1 + m2) memory.  Where no new shared species can appear the sum is
+    fitted parameters).  So the ratios come first, and each row runs its
+    recurrence only up to column K.  The lattice's (K + 1) x (K + 1) corner
+    is summed in log space, on blocks of about ``_LATTICE_BLOCK`` cells; its
+    cells past k1 + k2 = K add zero.  That is O((m1 + m2) K + K^2) time and
+    O(m1 + m2) memory.  Where no new shared species can appear the sum is
     exactly one, and rounding can lift it a few dozen ulps above; it is
     capped at one.
     """
     g1, g2 = vc.params.gamma1, vc.params.gamma2
-    lr = _log_v_ratios(vc, state.n1, state.n2, state.r, m1, m2)
+    lr = _ratios(vc, state.n1, state.n2, state.r, m1, m2)
     top = _last_finite(lr)
     row1 = log_noncentral_row(m1, g1, g1 * state.r1 + state.n1, kmax=top)
     row2 = log_noncentral_row(m2, g2, g2 * state.r2 + state.n2, kmax=top)
@@ -383,19 +390,9 @@ def shared_coverage_prob(vc: VCoefficients, state: ObservedState,
     return min(1.0, math.exp(log_sum_exp(parts)))
 
 
-def one_step_ratios(vc: VCoefficients, state: ObservedState) -> np.ndarray:
-    """log [V'^{r+k} / V^r_{n1,n2}] for k = 0, 1, 2, with V' at
-    (n1 + 1, n2 + 1): the V ratios of the next pair of observations, which
-    :func:`one_step_shared_pmf` and :func:`predictive_pair_probs` both read;
-    a caller that asks for both forms them once and passes them on."""
-    return _log_v_ratios(vc, state.n1, state.n2, state.r, 1, 1)
-
-
-def one_step_shared_pmf(vc: VCoefficients, state: ObservedState, *,
-                        lr: np.ndarray | None = None) -> PmfTable:
+def one_step_shared_pmf(vc: VCoefficients, state: ObservedState) -> PmfTable:
     """Exact pmf of the number of new shared species when one further
-    observation is taken in each group (s in {0, 1, 2}); ``lr`` is
-    :func:`one_step_ratios`, formed here when not given.
+    observation is taken in each group (s in {0, 1, 2}).
 
     With w_j = gamma_j r_j + n_j and V' ratios at (n1+1, n2+1):
 
@@ -411,8 +408,7 @@ def one_step_shared_pmf(vc: VCoefficients, state: ObservedState, *,
     g1, g2 = vc.params.gamma1, vc.params.gamma2
     w1, w2 = g1 * state.r1 + state.n1, g2 * state.r2 + state.n2
     r1s, r2s = state.r1_star, state.r2_star
-    if lr is None:
-        lr = one_step_ratios(vc, state)
+    lr = _ratios(vc, state.n1, state.n2, state.r, 1, 1)
 
     def bundle(pairs):
         return log_sum_exp([lr[i] + math.log(c) for i, c in pairs if c > 0.0])
@@ -457,9 +453,8 @@ def expected_new(vc: VCoefficients, state: ObservedState,
     """
     if m1 < 0 or m2 < 0:
         raise DomainError("future sample sizes must be >= 0")
-    m_star, lw = vc.posterior(state.n1, state.n2, state.r)
-    q = np.exp(lw)
-    q /= q.sum()
+    post = vc.posterior(state.n1, state.n2, state.r)
+    m_star, q = post.window, post.q
     g1, g2 = vc.params.gamma1, vc.params.gamma2
     miss1 = _log_miss(g1 * (state.r + m_star) + state.n1, g1, m1)
     miss2 = _log_miss(g2 * (state.r + m_star) + state.n2, g2, m2)
@@ -490,10 +485,8 @@ class PairProbs:
                 "old_new": self.old_new, "new_new": self.new_new}
 
 
-def predictive_pair_probs(vc: VCoefficients, state: ObservedState, *,
-                          lr: np.ndarray | None = None) -> PairProbs:
-    """Cell weights for the next pair of observations; ``lr`` is
-    :func:`one_step_ratios`, formed here when not given.
+def predictive_pair_probs(vc: VCoefficients, state: ObservedState) -> PairProbs:
+    """Cell weights for the next pair of observations.
 
     q_j^old = n_j + g_j r (every global species contributes g_j even where
     its count in group j is zero) and q_j^new = g_j:
@@ -508,8 +501,7 @@ def predictive_pair_probs(vc: VCoefficients, state: ObservedState, *,
     g1, g2 = vc.params.gamma1, vc.params.gamma2
     n1, n2, r = state.n1, state.n2, state.r
     q1_old, q2_old = n1 + g1 * r, n2 + g2 * r
-    if lr is None:
-        lr = one_step_ratios(vc, state)
+    lr = _ratios(vc, n1, n2, r, 1, 1)
     cells = {
         "old_old": lr[0] + math.log(q1_old * q2_old),
         "new_old": lr[1] + math.log(g1 * q2_old),

@@ -28,7 +28,6 @@ from .prediction import (
     ObservedState,
     expected_new,
     one_step_discovery_prob,
-    posterior_m_pmf,
 )
 from .vcoef import ModelParams, VCoefficients
 
@@ -85,11 +84,8 @@ def conditional_future_draws(vc: VCoefficients, state: ObservedState,
     """
     obs1, obs2 = _state_counts(state)
     rng = np.random.default_rng(seed)
-    pmf = posterior_m_pmf(vc, state)
-    support = np.array(pmf.support())
-    probs = np.array([pmf.prob(m) for m in support])
-    probs /= probs.sum()
-    m_stars = rng.choice(support, size=n_draws, p=probs)
+    post = vc.posterior(state.n1, state.n2, state.r)
+    m_stars = rng.choice(post.m_star, size=n_draws, p=np.exp(post.log_pmf))
     g1, g2 = vc.params.gamma1, vc.params.gamma2
     r = state.r
     out = np.empty((n_draws, 4), dtype=np.int64)

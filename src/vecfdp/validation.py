@@ -37,7 +37,11 @@ def _result(name: str, measured: float, threshold: float,
                        passed=measured <= threshold, detail=detail)
 
 
-def _grid_params(gammas=(0.3, 1.0, 3.0), lams=(0.5, 2.0, 8.0)):
+#: the default parameter grid: concentrations, then prior rates
+GAMMAS, LAMBDAS = (0.3, 1.0, 3.0), (0.5, 2.0, 8.0)
+
+
+def grid_params(gammas=GAMMAS, lams=LAMBDAS):
     for g1 in gammas:
         for g2 in gammas:
             for lam in lams:
@@ -59,7 +63,7 @@ def check_normalization(max_n: int = 4, max_m: int = 2, *,
     """All pmfs sum to one across a parameter/size grid."""
     worst = 0.0
     where = ""
-    for params in _grid_params(gammas, lams):
+    for params in grid_params(gammas, lams):
         vc = VCoefficients(params)
         for n1 in range(1, max_n + 1):
             for n2 in range(1, max_n + 1):
@@ -116,7 +120,7 @@ def check_recurrence(tol: float = 1e-8) -> CheckResult:
     """Residual of the V-coefficient recurrence identity across a grid."""
     worst = 0.0
     where = ""
-    for params in _grid_params(gammas=(0.5, 2.0), lams=(1.0, 5.0)):
+    for params in grid_params(gammas=(0.5, 2.0), lams=(1.0, 5.0)):
         vc = VCoefficients(params)
         for n1 in range(0, 4):
             for n2 in range(0, 4):
@@ -133,7 +137,7 @@ def check_recurrence(tol: float = 1e-8) -> CheckResult:
 def check_cap_doubling(tol: float = 1e-12) -> CheckResult:
     """Doubling the series term cap leaves V unchanged to relative tol."""
     worst = 0.0
-    for params in _grid_params(gammas=(0.3, 3.0), lams=(0.5, 8.0)):
+    for params in grid_params(gammas=(0.3, 3.0), lams=(0.5, 8.0)):
         for (n1, n2, r) in ((5, 5, 3), (2, 6, 4), (6, 1, 2)):
             base = log_v(n1, n2, r, params, max_terms=10**6)
             doubled = log_v(n1, n2, r, params, max_terms=2 * 10**6)

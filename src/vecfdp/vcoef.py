@@ -15,12 +15,15 @@ at most tol / 2 of it (:func:`_series_start`).
 :func:`log_v` sums one coefficient, or hands back its whole series;
 :func:`log_v_many` sums a run of r at fixed sizes as one batch of that
 kernel, with the same stopping rule and the same values.
+:class:`VCoefficients` forms each key's total and :class:`Posterior`
+once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +43,9 @@ _GRID = 256
 _MARGIN = 32.0
 #: width ratio of consecutive pieces of the head bound
 _GROWTH = 1.05
+#: a log term this far below the peak adds nothing to a sum of at least 1;
+#: exp is tens of times slower near the least normal double, e^-708.4
+_EXP_FLOOR = -700.0
 
 
 @dataclass(frozen=True)
@@ -221,12 +227,26 @@ def log_v_many(n1: int, n2: int, rs, params: ModelParams, *,
     return out
 
 
+class Posterior(NamedTuple):
+    """The posterior of the unseen count M* = m - r given (n1, n2, r), from
+    :meth:`VCoefficients.posterior`: M* over the whole V series and its log
+    masses, then on the window cut to all but tol of the mass, M* as floats,
+    the log weights (terms less the series' peak) and the weights over their
+    sum.  Every array is read-only."""
+
+    m_star: np.ndarray
+    log_pmf: np.ndarray
+    window: np.ndarray
+    log_w: np.ndarray
+    q: np.ndarray
+
+
 class VCoefficients:
     """Memoizing evaluator of log V for one fixed parameter triple.
 
     One cache, keyed (n1, n2, r), holds the whole series of a key summed on
-    its own, the posterior window cut from it (see :meth:`posterior`), and
-    the bare total of a key summed in a :meth:`log_v_many` batch.  A
+    its own, the key's :class:`Posterior` (see :meth:`posterior`), and the
+    bare total of a key summed in a :meth:`log_v_many` batch.  A
     single-group coefficient is the key with the other size zero.
     Insertion is idempotent, so concurrent recomputation of a key is
     harmless.
@@ -237,14 +257,13 @@ class VCoefficients:
         self.params = params
         self.tol = tol
         self.max_terms = max_terms
-        #: (log total, m, log terms, posterior window); m and terms are None
-        #: for a batch total, the window is None until first asked for
+        #: (log total, m, log terms, posterior); m and terms are None for a
+        #: batch total, the posterior is None until first asked for
         self._cache: dict[tuple[int, int, int], tuple] = {}
 
     def _sum(self, n1: int, n2: int, r: int) -> tuple:
         total, m, terms = log_v(n1, n2, r, self.params, tol=self.tol,
                                 max_terms=self.max_terms, series=True)
-        m.flags.writeable = terms.flags.writeable = False
         self._cache[n1, n2, r] = entry = (total, m, terms, None)
         return entry
 
@@ -254,49 +273,38 @@ class VCoefficients:
             entry = self._sum(n1, n2, r)
         return entry[0]
 
-    def _series_entry(self, n1: int, n2: int, r: int) -> tuple:
-        """The key's cache entry with its whole series, looked up through
-        :meth:`log_v`."""
-        self.log_v(n1, n2, r)
-        entry = self._cache[n1, n2, r]
-        return entry if entry[1] is not None else self._sum(n1, n2, r)
+    def posterior(self, n1: int, n2: int, r: int) -> Posterior:
+        """The :class:`Posterior` of M* given (n1, n2, r), formed in one pass
+        over the series of V^r_{n1,n2} on first use and kept in the key's
+        entry, which is looked up through :meth:`log_v`.
 
-    def v_series(self, n1: int, n2: int, r: int) -> tuple:
-        """The series of V^r_{n1,n2}, (log total, m, log terms), looked up
-        through :meth:`log_v`; the arrays are read-only."""
-        return self._series_entry(n1, n2, r)[:3]
-
-    def posterior(self, n1: int, n2: int, r: int) -> tuple:
-        """(m*, log weights) of the posterior of the unseen count M* = m - r
-        given sizes (n1, n2) and r species: the series of V^r_{n1,n2} cut
-        to its mass, cut once per key and kept in the key's entry.
-
-        Entries are dropped from each end of the series while the mass
-        they carry stays at most tol / 2 of the series total, that mass
-        summed in linear space; so the window leaves out at most ``tol``
-        of the posterior, on top of the series' own truncation.  A cut by
-        cumulative mass keeps every mode of a multimodal posterior, which
-        a window grown outward from the largest term would not.  The
-        weights are the terms shifted by the series' peak, so the rounding
-        of log V (2e-9 at |log V| = 10^7) stays out of them; the arrays
-        are read-only.
+        The log masses are the terms less the series' peak, less the log of
+        their sum taken in linear space (log V, up to 10^7 in size, would
+        carry its rounding into every mass).  The window drops entries from
+        each end while the mass they carry stays at most tol / 2 of that
+        sum: it leaves out at most ``tol`` on top of the series' own
+        truncation, and keeps every mode of a multimodal posterior.  Each
+        exp argument is floored at ``_EXP_FLOOR``.  A V of zero raises.
         """
-        entry = self._series_entry(n1, n2, r)
-        if entry[3] is None:
-            _, m, terms, _ = entry
-            peak = terms.max()
-            if peak == LOG_ZERO:
-                raise DomainError(f"V^{r}_({n1},{n2}) is zero under this prior")
-            w = np.exp(terms - peak)
+        if self.log_v(n1, n2, r) == LOG_ZERO:
+            raise DomainError(f"V^{r}_({n1},{n2}) is zero under this prior")
+        total, m, terms, post = self._cache[n1, n2, r]
+        if post is None:
+            if m is None:  # a batch total: sum the key's series on its own
+                total, m, terms, _ = self._sum(n1, n2, r)
+            shifted = terms - terms.max()
+            w = np.exp(np.maximum(shifted, _EXP_FLOOR))
             head = np.cumsum(w)
             cut = 0.5 * self.tol * head[-1]
             lo = int(np.searchsorted(head, cut, side="right"))
             hi = w.size - int(np.searchsorted(np.cumsum(w[::-1]), cut, side="right"))
-            m_star, log_w = (m[lo:hi] - r).astype(float), terms[lo:hi] - peak
-            m_star.flags.writeable = log_w.flags.writeable = False
-            entry = entry[:3] + ((m_star, log_w),)
-            self._cache[n1, n2, r] = entry
-        return entry[3]
+            q = w[lo:hi]
+            post = Posterior(m - r, shifted - math.log(np.add.reduce(w)),
+                             (m[lo:hi] - r).astype(float), shifted[lo:hi], q / q.sum())
+            for array in post:
+                array.flags.writeable = False
+            self._cache[n1, n2, r] = (total, m, terms, post)
+        return post
 
     def log_v_many(self, n1: int, n2: int, rs) -> np.ndarray:
         """log V^r_{n1,n2} for every r in ``rs``; the keys not cached yet are

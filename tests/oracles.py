@@ -588,23 +588,18 @@ def v_series_from_head(n1: int, n2: int, r: int, params, *, tol: float = 1e-12,
     return float(total[0]), first + np.arange(n), terms[0, :n]
 
 
-def whole_posterior(vc: VCoefficients, n1: int, n2: int, r: int):
-    """(m*, log weights) of the posterior of M* over the whole V series:
-    its nonzero terms shifted by their peak, with no cut at either end."""
-    _, m, terms = vc.v_series(n1, n2, r)
-    keep = terms > LOG_ZERO
-    if not keep.any():
-        raise DomainError(f"V^{r}_({n1},{n2}) is zero under this prior")
-    terms = terms[keep]
-    return (m[keep] - r).astype(float), terms - terms.max()
-
-
 class WholeWindowV(VCoefficients):
-    """V coefficients whose posterior is the whole series: every law run on
-    one reads every posterior entry, none cut away."""
+    """V coefficients whose posterior window is the whole series: every law
+    run on one reads every nonzero term, none cut away."""
 
     def posterior(self, n1: int, n2: int, r: int):
-        return whole_posterior(self, n1, n2, r)
+        post = super().posterior(n1, n2, r)
+        _, m, terms = log_v(n1, n2, r, self.params, tol=self.tol,
+                            max_terms=self.max_terms, series=True)
+        keep = terms > LOG_ZERO
+        log_w = terms[keep] - terms.max()
+        q = np.exp(log_w)
+        return post._replace(window=(m[keep] - r).astype(float), log_w=log_w, q=q / q.sum())
 
 
 def central_table_by_rows(gamma: float, max_n: int) -> np.ndarray:

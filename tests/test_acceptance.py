@@ -4,7 +4,6 @@ Each test prints one summary line (visible with pytest -s or in captured
 output on failure) so the suite doubles as a human-readable report.
 """
 
-import itertools
 import json
 import math
 import time
@@ -28,13 +27,8 @@ from vecfdp.vcoef import ModelParams, VCoefficients, log_v
 
 from oracles import generative_vecfdp_sample, log_noncentral_gfc, log_v_asymptotic
 
-GAMMAS = (0.3, 1.0, 3.0)
-LAMBDAS = (0.5, 2.0, 8.0)
-
-
-def grid_params():
-    for g1, g2, lam in itertools.product(GAMMAS, GAMMAS, LAMBDAS):
-        yield ModelParams(g1, g2, OneShiftedPoisson(lam))
+# one grid with the validate battery
+GAMMAS, LAMBDAS, grid_params = validation.GAMMAS, validation.LAMBDAS, validation.grid_params
 
 
 def test_criterion_01_normalization_suite():

@@ -270,8 +270,9 @@ def test_discover_prob_is_library_value(capsys, params):
 
 
 def test_discover_forms_one_step_ratios_once(capsys, monkeypatch):
-    # the pmf and the pair cells read the same V' ratios: one pass, and the
-    # report is what the two laws give when each forms its own
+    # the pmf, the discovery sum and the pair cells read the same V'
+    # ratios: one pass, and the report is what the laws give on a fresh
+    # evaluator, which forms them once more for both laws
     calls = []
     original = prediction._log_v_ratios
 
@@ -292,7 +293,26 @@ def test_discover_forms_one_step_ratios_once(capsys, monkeypatch):
     assert [report["one_step_shared_pmf"][str(s)]["value"] for s in (0, 1, 2)] == [
         pmf.prob(s) for s in (0, 1, 2)]
     assert report["pair_probs"] == prediction.predictive_pair_probs(vc, state).as_dict()
-    assert len(calls) == 3
+    assert len(calls) == 2
+
+
+def test_predict_forms_its_ratios_once(capsys, monkeypatch):
+    # the coverage and the shared pmf read the same (m1, m2) ratios
+    calls = []
+    original = prediction._log_v_ratios
+
+    def counted(*args):
+        calls.append(args[1:])
+        return original(*args)
+
+    monkeypatch.setattr(prediction, "_log_v_ratios", counted)
+    code, out, err = run(capsys, "predict", str(ants_csv_path()), "--m1", "3", "--m2", "4")
+    assert code == 0
+    report = json.loads(out)
+    assert "shared_pmf" in report
+    assert [c[3:] for c in calls] == [(3, 4)]
+    shared = {e["key"]: e["prob"] for e in report["shared_pmf"]["top_entries"]}
+    assert shared[0] == pytest.approx(report["coverage_prob"]["value"], abs=1e-12)
 
 
 def test_discover_with_explicit_params(capsys, toy_csv):
@@ -603,6 +623,28 @@ def test_predict_large_future_small_memory():
         assert each["code"] == 0
         assert 0.0 < each["coverage"] < 1.0
     assert result["rss_kb"] < 250 * 1024
+
+
+def test_curve_large_grid_small_memory():
+    # 441 points of futures up to 2000 x 2000: a ratio run of m1 + m2 + 1
+    # floats kept per point would hold 7 MB by the end.  tracemalloc sees
+    # numpy's buffers; a child's ru_maxrss would start at its parent's peak
+    src = str(Path(vecfdp.__file__).resolve().parents[1])
+    probe = (
+        "import contextlib, io, tracemalloc\n"
+        "from vecfdp.abundance import ants_csv_path\n"
+        "from vecfdp.cli import main\n"
+        "out = io.StringIO()\n"
+        "tracemalloc.start()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    code = main(['curve', str(ants_csv_path()), '--grid', '2000:2000:100'])\n"
+        "print(code, out.getvalue().count(chr(10)), tracemalloc.get_traced_memory()[1])\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], check=True,
+                          capture_output=True, text=True, cwd=src, timeout=300)
+    code, lines, peak = map(int, done.stdout.split())
+    assert code == 0 and lines == 1 + 21 * 21
+    assert peak < 3 * 1024 * 1024
 
 
 @pytest.mark.parametrize("gamma", ["1", "0.01"])

@@ -1,10 +1,11 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from vecfdp import prediction as pred
-from vecfdp import simulate
+from vecfdp import simulate, validation
 from vecfdp.abundance import ants_table, from_counts
 from vecfdp.estimation import fit_all
 from vecfdp.logmath import LOG_ZERO, DomainError, log_pochhammer
@@ -289,8 +290,10 @@ def test_bimodal_posterior_window_keeps_both_modes(ants):
     state, _ = ants
     params = ModelParams(1.0, 1.0, OneShiftedPoisson(6815.7155))
     vc, whole = VCoefficients(params), WholeWindowV(params)
-    m_star, lw = vc.posterior(state.n1, state.n2, state.r)
-    all_m, all_lw = whole.posterior(state.n1, state.n2, state.r)
+    key = (state.n1, state.n2, state.r)
+    post, all_post = vc.posterior(*key), whole.posterior(*key)
+    m_star, lw = post.window, post.log_w
+    all_m, all_lw = all_post.window, all_post.log_w
     low = int(all_m[np.argmax(np.where(all_m < 589, all_lw, LOG_ZERO))])
     high = int(all_m[np.argmax(np.where(all_m > 589, all_lw, LOG_ZERO))])
     assert low == 3 and abs(high - 2995) <= 5
@@ -320,13 +323,12 @@ def test_posterior_window_short_at_large_rate(ants):
     state, params = ants
     params = ModelParams(params.gamma1, params.gamma2, OneShiftedPoisson(3e4))
     vc = VCoefficients(params)
-    m_star, _ = vc.posterior(state.n1, state.n2, state.r)
-    _, m, _ = vc.v_series(state.n1, state.n2, state.r)
+    post = vc.posterior(state.n1, state.n2, state.r)
     _, whole_m, _ = v_series_from_head(state.n1, state.n2, state.r, params)
-    assert 5 * m_star.size <= whole_m.size
-    assert 2 * m.size <= whole_m.size
+    assert 5 * post.window.size <= whole_m.size
+    assert 2 * post.m_star.size <= whole_m.size
     # the window is cut once per key and served from the cache
-    assert vc.posterior(state.n1, state.n2, state.r)[0] is m_star
+    assert vc.posterior(state.n1, state.n2, state.r) is post
 
 
 def test_coverage_one_sided_no_shared_possible():
@@ -380,6 +382,108 @@ def test_shared_pmf_monte_carlo(vc):
 def test_negative_future_sizes_rejected(vc, law, m1, m2):
     with pytest.raises(DomainError):
         law(vc, STATE, m1, m2)
+
+
+@pytest.mark.parametrize("m1,m2", [(-5, 0), (0, -1)])
+def test_every_ratio_law_names_negative_future_sizes(vc, m1, m2):
+    # the check sits where the ratios are formed, ahead of any GFC row
+    laws = [lambda: pred.posterior_joint_new(vc, STATE, m1, m2),
+            lambda: pred.posterior_marginal_global_new(vc, STATE, m1, m2),
+            lambda: pred.shared_coverage_prob(vc, STATE, m1, m2),
+            lambda: pred.shared_pmf(vc, STATE, m1, m2),
+            lambda: pred.posterior_local_new(vc, STATE, min(m1, m2), 1),
+            lambda: pred.posterior_local_new(vc, STATE, min(m1, m2), 2)]
+    for law in laws:
+        with pytest.raises(DomainError, match="future sample sizes must be >= 0"):
+            law()
+
+
+def test_laws_read_one_posterior_entry():
+    # every law on a key reads the posterior its evaluator formed first,
+    # arrays and all, and cannot write to it
+    seen = []
+
+    class Spy(VCoefficients):
+        def posterior(self, n1, n2, r):
+            seen.append(super().posterior(n1, n2, r))
+            return seen[-1]
+
+    vc = Spy(PARAMS)
+    pred.posterior_m_pmf(vc, STATE)
+    pred.posterior_m_mean(vc, STATE)
+    pred.expected_new(vc, STATE, 2, 1)
+    pred.shared_coverage_prob(vc, STATE, 2, 1)
+    simulate.conditional_future_draws(vc, STATE, 1, 1, 10, seed=0)
+    assert len(seen) == 5
+    for post in seen[1:]:
+        assert post is seen[0]
+        assert all(a is b for a, b in zip(post, seen[0]))
+    assert not any(a.flags.writeable for a in seen[0])
+
+
+def test_ratio_run_formed_once_per_key(monkeypatch):
+    calls = []
+    original = pred._log_v_ratios
+
+    def counted(*args):
+        calls.append(args[1:])
+        return original(*args)
+
+    monkeypatch.setattr(pred, "_log_v_ratios", counted)
+    vc = VCoefficients(PARAMS)
+    cov = pred.shared_coverage_prob(vc, STATE, 2, 1)
+    shared = pred.shared_pmf(vc, STATE, 2, 1)
+    pred.posterior_marginal_global_new(vc, STATE, 2, 1)
+    assert calls == [(STATE.n1, STATE.n2, STATE.r, 2, 1)]
+    assert cov == pytest.approx(shared.prob(0), abs=1e-12)
+    lr = pred._ratios(vc, STATE.n1, STATE.n2, STATE.r, 2, 1)
+    assert pred._ratios(vc, STATE.n1, STATE.n2, STATE.r, 2, 1) is lr
+    assert not lr.flags.writeable
+    pmf = pred.one_step_shared_pmf(vc, STATE)
+    pair = pred.predictive_pair_probs(vc, STATE)
+    assert calls[1:] == [(STATE.n1, STATE.n2, STATE.r, 1, 1)]
+    assert pmf.prob(1) + pmf.prob(2) == pred.one_step_discovery_prob(vc, STATE)
+    assert pair.normalizer_ratio == pytest.approx(1.0, abs=1e-12)
+    # only the last run is kept: a size formed before it is formed again
+    pred.shared_coverage_prob(vc, STATE, 2, 1)
+    assert calls[2:] == [(STATE.n1, STATE.n2, STATE.r, 2, 1)]
+
+
+def test_curve_keeps_one_ratio_run(monkeypatch):
+    # every grid point is a new future size: the evaluator holds the last
+    # point's run, not one run per point
+    runs = []
+    original = pred._log_v_ratios
+
+    def counted(*args):
+        lr = original(*args)
+        runs.append(weakref.ref(lr))
+        return lr
+
+    monkeypatch.setattr(pred, "_log_v_ratios", counted)
+    vc = VCoefficients(PARAMS)
+    grid = [(m1, m2) for m1 in range(0, 9, 2) for m2 in range(0, 9, 2)]
+    pred.extrapolation_curves(vc, STATE, grid)
+    assert len(runs) == len(grid)
+    assert [run() is None for run in runs] == [True] * (len(grid) - 1) + [False]
+
+
+def test_check_normalization_shares_each_ratio_run(monkeypatch):
+    # the joint and global laws at one (state, m1, m2) share a pass: no
+    # evaluator forms the same run twice in a row; each evaluator is kept
+    # alive so that a freed one's id is not reused by the next
+    calls, evaluators = [], []
+    original = pred._log_v_ratios
+
+    def counted(vc, *key):
+        calls.append((id(vc), key))
+        evaluators.append(vc)
+        return original(vc, *key)
+
+    monkeypatch.setattr(pred, "_log_v_ratios", counted)
+    result = validation.check_normalization(max_n=2, max_m=1)
+    assert result.passed
+    assert calls and all(a != b for a, b in zip(calls, calls[1:]))
 
 
 def test_expected_new_linearity_and_zero_query(vc):

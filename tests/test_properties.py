@@ -95,8 +95,9 @@ def test_posterior_cut_within_tol(case):
     vc, state, m1, m2 = case
     tol = vc.tol
     whole = WholeWindowV(vc.params, tol=tol)
-    m_star, _ = vc.posterior(state.n1, state.n2, state.r)
-    all_m, all_lw = whole.posterior(state.n1, state.n2, state.r)
+    m_star = vc.posterior(state.n1, state.n2, state.r).window
+    all_post = whole.posterior(state.n1, state.n2, state.r)
+    all_m, all_lw = all_post.window, all_post.log_w
     w = np.exp(all_lw)
     assert w[(all_m < m_star[0]) | (all_m > m_star[-1])].sum() <= tol * w.sum()
     # each law is an expectation over the posterior of a conditional
