@@ -23,10 +23,9 @@ from . import __version__
 from .abundance import IngestError, ants_csv_path, ingest
 from .baselines import chao_shared_estimator, frequency_counts, yue_estimator
 from .estimation import MomentRangeError, fit_all
-from .insample import correlation, prior_joint
+from .insample import correlation, lattice_cells, lattice_cut, summarize
 from .logmath import ConvergenceError, DomainError
 from .mprior import OneShiftedPoisson
-from .pmftable import shared_marginal
 from .prediction import (
     ObservedState,
     expected_new,
@@ -46,6 +45,11 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NUMERICAL = 2
 EXIT_VALIDATION = 3
+#: entries of a pmf a report lists
+TOP_ENTRIES = 20
+#: cells of the largest in-sample lattice ``insample`` forms; counted from
+#: (n1, n2, K) before any work, so a larger one is declined at once
+CELL_BUDGET = 10**6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,10 +68,14 @@ def _prob(p: float) -> dict:
     return {"value": p, "log": math.log(p) if p > 0.0 else float("-inf")}
 
 
-def _pmf_report(table, top: int = 20) -> dict:
+def _pmf_report(total_mass: float, top_entries: list) -> dict:
     entries = [{"key": list(k) if isinstance(k, tuple) else k, "prob": v}
-               for k, v in table.top_entries(top)]
-    return {"total_mass": table.total_mass(), "top_entries": entries}
+               for k, v in top_entries]
+    return {"total_mass": total_mass, "top_entries": entries}
+
+
+def _table_report(table) -> dict:
+    return _pmf_report(table.total_mass(), table.top_entries(TOP_ENTRIES))
 
 
 def _emit_json(report: dict, stream) -> None:
@@ -274,16 +282,22 @@ def _cmd_insample(args) -> dict:
         "correlation": correlation(vc.params, tol=args.tol,
                                    max_terms=args.max_terms),
     }
-    if max(n1, n2) <= 100:
-        joint = prior_joint(vc, n1, n2)
-        e_k, e_k1, e_k2 = (joint.mean(c) for c in range(3))
-        report["expected"] = {"k1": e_k1, "k2": e_k2, "k": e_k, "s": e_k1 + e_k2 - e_k}
-        report["pmf_joint"] = _pmf_report(joint)
-        report["pmf_global"] = _pmf_report(joint.marginal(0))
-        report["pmf_shared"] = _pmf_report(shared_marginal(joint))
+    k = lattice_cut(vc, n1 + n2)
+    cells = lattice_cells(n1, n2, k)
+    if cells <= CELL_BUDGET:
+        laws = summarize(vc, n1, n2, TOP_ENTRIES)
+        e_k1, e_k2, e_k, e_s = laws.expected
+        report["expected"] = {"k1": e_k1, "k2": e_k2, "k": e_k, "s": e_s}
+        report["pmf_joint"] = _pmf_report(laws.joint_mass, laws.joint_top)
+        report["pmf_global"] = _table_report(laws.global_law)
+        report["pmf_shared"] = _table_report(laws.shared_law)
+        # the model check: how far out the observed counts sit in their laws
+        report["observed_tail"] = {"global": _prob(laws.global_law.tail_mass(table.r)),
+                                   "shared": _prob(laws.shared_law.tail_mass(table.t))}
     else:
-        report["note"] = ("in-sample pmf tables are reported only for "
-                          "n1, n2 <= 100; larger samples get correlation only")
+        report["note"] = (f"in-sample pmf tables are reported only for lattices "
+                          f"of at most {CELL_BUDGET} cells; this one, cut at "
+                          f"K = {k}, has {cells}: correlation only")
     return report
 
 
@@ -299,12 +313,12 @@ def _cmd_predict(args) -> dict:
         "params": meta,
         "m1": m1, "m2": m2,
         "posterior_unseen": {"mean": posterior_m_mean(vc, state),
-                             "pmf": _pmf_report(posterior_m_pmf(vc, state))},
+                             "pmf": _table_report(posterior_m_pmf(vc, state))},
         "expected_new": {"k1": exp.k1, "k2": exp.k2, "k": exp.k, "s": exp.s},
         "coverage_prob": _prob(shared_coverage_prob(vc, state, m1, m2)),
     }
     if m1 + m2 <= 12:
-        report["shared_pmf"] = _pmf_report(shared_pmf(vc, state, m1, m2))
+        report["shared_pmf"] = _table_report(shared_pmf(vc, state, m1, m2))
     return report
 
 

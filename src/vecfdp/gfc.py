@@ -30,7 +30,7 @@ import numpy as np
 from .logmath import LOG_ZERO, DomainError
 
 #: cells of the block of log factors a_j formed at once: columns times m
-_BLOCK = 1 << 16
+_BLOCK = 1 << 14
 
 
 def _log_columns(m: int, gamma: float, rho: float, top: int, emit) -> None:
@@ -63,7 +63,8 @@ def _log_columns(m: int, gamma: float, rho: float, top: int, emit) -> None:
         for lo in range(1, top + 1, step):
             k = np.arange(lo, min(lo + step, top + 1))
             # log_p[i, n - k_i] = P_{k_i}(n): the factors with j < k_i are zeroed
-            log_p = np.log(j[lo - 1:] + (gamma * k + rho)[:, None])
+            log_p = j[lo - 1:] + (gamma * k + rho)[:, None]
+            np.log(log_p, out=log_p)
             log_p[j[lo - 1:] < k[:, None]] = 0.0
             np.cumsum(log_p, axis=1, out=log_p)
             for i in range(k.size):

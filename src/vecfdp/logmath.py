@@ -34,6 +34,11 @@ _LIFT_PAIRS = np.array([i * (_DIRECT - i) for i in range(1, _DIRECT // 2)], dtyp
 _TABLE = 1024
 #: entries per pass of log-gamma's elementwise kernels
 _CHUNK = 1 << 13
+#: the smallest normal float: a weight below it has lost precision
+_TINY = np.finfo(float).tiny
+#: a group whose sum below the peak reaches this loses at most 2^-1022 per
+#: underflowed weight: under 2^-90 of the sum for up to 2^32 weights
+_GROUP_FLOOR = 2.0 ** -900
 _LOG_FACTORIAL = np.array([math.inf] + [math.lgamma(k + 1.0) for k in range(_TABLE)]
                           + [math.nan])
 
@@ -185,16 +190,32 @@ def log_sum_exp(terms: Iterable[float]) -> float:
     return hi + math.log(float(np.sum(np.exp(arr - hi))))
 
 
-def log_sum_exp_by(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+def log_sum_exp_by(index: np.ndarray, values: np.ndarray, size: int,
+                   linear: np.ndarray | None = None) -> np.ndarray:
     """Scatter log-sum-exp: entry g is the log of the sum of exp(values[i])
-    over the i with index[i] = g, for g in 0..size-1.
+    over the i with index[i] = g, for g in 0..size-1; a group with no finite
+    value gives -inf.
 
-    Each group is shifted by its own maximum, so a group far below the
-    others keeps its mass; a group with no finite value gives -inf.
+    One ``np.bincount`` sums the weights exp(values - peak), peak the
+    largest value; a caller that holds these weights passes them as
+    ``linear``.  A weight below the normal range has lost precision, so
+    when one is, each group whose sum falls below ``_GROUP_FLOOR`` is summed
+    again below the peak of its own values, until none is left: a group far
+    below the others keeps its mass.
     """
-    peak = np.full(size, LOG_ZERO)
-    np.maximum.at(peak, index, values)
-    shift = np.where(np.isfinite(peak), peak, 0.0)
-    total = np.bincount(index, weights=np.exp(values - shift[index]), minlength=size)
-    with np.errstate(divide="ignore"):
-        return shift + np.log(total)
+    out = np.full(size, LOG_ZERO)
+    while index.size:
+        peak = values.max()
+        if peak == LOG_ZERO:  # the groups left are all zero
+            break
+        if linear is None:
+            linear = np.exp(values - peak)
+        total = np.bincount(index, weights=linear, minlength=size)
+        exact = linear.min() >= _TINY  # no weight underflowed
+        done = total > 0.0 if exact else total >= _GROUP_FLOOR
+        out[done] = np.log(total[done]) + peak
+        if exact:
+            break
+        rest = ~done[index]
+        index, values, linear = index[rest], values[rest], None
+    return out

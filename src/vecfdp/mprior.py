@@ -285,13 +285,19 @@ class PriorWindow:
         return float(np.add.reduce(self.q * values))
 
 
+def window_eps(tol: float) -> float:
+    """The prior mass each end of a window at series tolerance ``tol``
+    leaves out: min(tol / 1000, 1e-15)."""
+    return min(tol * 1e-3, 1e-15)
+
+
 def prior_window(prior: MPrior, *, tol: float = 1e-12,
                  max_terms: int = 10**6) -> PriorWindow:
     """The :class:`PriorWindow` of ``prior`` at series tolerance ``tol``:
     one pmf evaluation over [head, tail], normalized in linear space below
     its largest term.  A window of more than ``max_terms`` points raises
     ``ConvergenceError``."""
-    eps = min(tol * 1e-3, 1e-15)
+    eps = window_eps(tol)
     start, end = prior.head(eps), prior.tail(eps)
     if end - start >= max_terms:
         raise ConvergenceError(

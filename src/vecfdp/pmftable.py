@@ -105,18 +105,27 @@ class PmfTable:
         return PmfTable.from_arrays(
             order + lo, log_sum_exp_by(rank[cell], self.log_mass, order.size))
 
+    def tail_mass(self, x: int) -> float:
+        """P(key >= x), for integer keys."""
+        return float(np.add.reduce(np.exp(self.log_mass[self.keys >= x])))
+
     def top_entries(self, n: int) -> list:
         """The n highest-mass entries as (key, prob), most probable first;
-        ties keep the table's order.  Only the entries at or above the n-th
-        largest mass are sorted, so a long table is not sorted whole."""
-        mass = self.log_mass
-        keep = np.arange(mass.size)
-        if 0 < n < mass.size:
-            cut = mass[np.argpartition(mass, mass.size - n)[mass.size - n]]
-            keep = np.flatnonzero(mass >= cut)
-        ranked = keep[np.argsort(-mass[keep], kind="stable")[:n]]
+        ties keep the table's order (see :func:`top_indices`)."""
+        ranked = top_indices(self.log_mass, n)
         return [(k, math.exp(v)) for k, v in zip(_as_keys(self.keys[ranked]),
                                                  self.log_mass[ranked].tolist())]
+
+
+def top_indices(log_mass: np.ndarray, n: int) -> np.ndarray:
+    """Indices of the n largest entries, largest first; ties keep index
+    order.  Only the entries at or above the n-th largest are sorted, so a
+    long array is not sorted whole."""
+    keep = np.arange(log_mass.size)
+    if 0 < n < log_mass.size:
+        cut = np.partition(log_mass, log_mass.size - n)[log_mass.size - n]
+        keep = np.flatnonzero(log_mass >= cut)
+    return keep[np.argsort(-log_mass[keep], kind="stable")[:n]]
 
 
 def shared_marginal(joint: PmfTable) -> PmfTable:

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import mpmath
@@ -126,10 +127,16 @@ def test_insample_with_explicit_params(capsys, toy_csv):
 
 
 def test_insample_large_table_reports_correlation_only(capsys):
-    code, out, err = run(capsys, "insample", str(ants_csv_path()))
+    # at lam = 1e3 the cut K = 1262 passes n1 = 934: the lattice would have
+    # 2.8e8 cells, so the report declines before any work
+    start = time.perf_counter()
+    code, out, err = run(capsys, "insample", str(ants_csv_path()), "--lam", "1000",
+                         "--gamma1", "1", "--gamma2", "1")
+    assert time.perf_counter() - start < 1.0
     assert code == 0
     report = json.loads(out)
     assert "note" in report and "pmf_joint" not in report
+    assert "K = 1262" in report["note"] and "280194863" in report["note"]
     assert 0.0 < report["correlation"] <= 1.0
 
 
@@ -158,6 +165,72 @@ def test_insample_100_by_100_table_small_memory(tmp_path):
     assert result["n"] == 100
     assert result["mass"] == pytest.approx(1.0, abs=1e-8)
     assert result["rss_kb"] < 250 * 1024
+
+
+def _peak_rss_probe(argv) -> dict:
+    """Run ``main(argv)`` in a fresh interpreter: exit code, in-process
+    seconds, peak RSS in kB and the parsed report.  The peak is the
+    interpreter's own VmHWM: ``ru_maxrss`` carries over the high-water mark
+    of the forking test process."""
+    src = str(Path(vecfdp.__file__).resolve().parents[1])
+    probe = (
+        "import contextlib, io, json, time\n"
+        "from vecfdp.cli import main\n"
+        "out = io.StringIO()\n"
+        "start = time.perf_counter()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    code = main({argv!r})\n"
+        "seconds = time.perf_counter() - start\n"
+        "with open('/proc/self/status') as status:\n"
+        "    rss = next(int(line.split()[1]) for line in status\n"
+        "               if line.startswith('VmHWM:'))\n"
+        "print(json.dumps({'code': code, 'seconds': seconds, 'rss_kb': rss,\n"
+        "                  'report': json.loads(out.getvalue())}))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], check=True,
+                          capture_output=True, text=True, cwd=src, timeout=300)
+    return json.loads(done.stdout)
+
+
+def test_insample_ants_reports_all_laws(capsys):
+    # the paper's own sample sizes: the lattice cut at K = 43 has 15 093
+    # cells, and the laws come with their model check
+    ants = str(ants_csv_path())
+    result = _peak_rss_probe(["insample", ants])
+    assert result["code"] == 0
+    report = result["report"]
+    for name in ("pmf_joint", "pmf_global", "pmf_shared"):
+        assert len(report[name]["top_entries"]) == 20
+        assert report[name]["total_mass"] == pytest.approx(1.0, abs=1e-10)
+    assert result["seconds"] < 0.1
+    tail = report["observed_tail"]
+    assert tail["global"]["value"] == pytest.approx(8.36e-8, rel=1e-3)
+    assert tail["shared"]["value"] == pytest.approx(0.513, rel=1e-3)
+    # predict's laws add about 0.5 MB to the fitted process; the lattice's
+    # own arrays (about 0.4 MB) and numpy's first-use pages for them put
+    # insample about 0.6 MB above that, within 1 MB
+    predict = _peak_rss_probe(["predict", ants, "--m1", "1000", "--m2", "1000"])
+    assert predict["code"] == 0
+    assert result["rss_kb"] <= predict["rss_kb"] + 1024
+
+
+def test_insample_observed_tail_matches_loop_sums(capsys, tmp_path):
+    sample = draw_sample(generate_population(60, 0.9, 0.85, seed=3), 12, 15, seed=4)
+    table = sample.table()
+    path = tmp_path / "small.csv"
+    write_csv(table, path)
+    code, out, err = run(capsys, "insample", str(path), "--lam", "6",
+                         "--gamma1", "0.8", "--gamma2", "1.7")
+    assert code == 0
+    tail = json.loads(out)["observed_tail"]
+    vc = VCoefficients(ModelParams(0.8, 1.7, OneShiftedPoisson(6.0)))
+    joint = prior_joint_loop(vc, table.n1, table.n2).entries
+    want_r = sum(math.exp(lp) for (r, _, _), lp in joint.items() if r >= table.r)
+    want_t = sum(math.exp(lp) for (r, r1, r2), lp in joint.items()
+                 if r1 + r2 - r >= table.t)
+    assert 0.0 < want_r < 1.0 and 0.0 < want_t < 1.0
+    assert tail["global"]["value"] == pytest.approx(want_r, abs=1e-12)
+    assert tail["shared"]["value"] == pytest.approx(want_t, abs=1e-12)
 
 
 def test_insample_laws_match_scalar_loops(capsys, tmp_path):

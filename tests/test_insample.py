@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vecfdp import insample, simulate
-from vecfdp.logmath import DomainError
-from vecfdp.mprior import OneShiftedPoisson, PointMass, TabulatedPrior
+from vecfdp.logmath import DomainError, log_sum_exp
+from vecfdp.mprior import OneShiftedPoisson, PointMass, TabulatedPrior, window_eps
 from vecfdp.pmftable import PmfTable
 from vecfdp.vcoef import ModelParams, VCoefficients
 
@@ -99,19 +101,104 @@ def assert_same_law(got, want):
     assert max(gaps, default=0.0) <= 1e-12
 
 
+#: the prior mass past the lattice's cut at the default tolerance
+EPS = window_eps(1e-12)
+
+
+def assert_cut_law(got, want, dropped):
+    """``got`` is ``want`` less the keys for which ``dropped(key)`` holds:
+    the kept keys in the same order, each within |delta log P| <= 1e-12,
+    and the dropped keys carry at most the cut's eps of the mass."""
+    kept = {key: lp for key, lp in want.entries.items() if not dropped(key)}
+    assert_same_law(got, PmfTable(kept))
+    assert sum(math.exp(lp) for key, lp in want.entries.items() if dropped(key)) <= EPS
+
+
 @pytest.mark.parametrize("params", ORACLE_PARAMS)
 @pytest.mark.parametrize("n1,n2", [(1, 1), (1, 7), (7, 1), (13, 50), (50, 50)])
 def test_laws_match_scalar_loops(params, n1, n2):
+    # the laws keep the cells with r <= K, where the uncut loops' cells
+    # past K hold at most eps; at lam = 0.5, K < n1 + n2 on the larger tables
     vc, oracle_vc = VCoefficients(params), VCoefficients(params)
-    assert_same_law(insample.prior_joint(vc, n1, n2),
-                    prior_joint_loop(oracle_vc, n1, n2))
-    assert_same_law(insample.prior_marginal_global(vc, n1, n2),
-                    prior_marginal_global_loop(oracle_vc, n1, n2))
+    k = insample.lattice_cut(vc, n1 + n2)
+    assert_cut_law(insample.prior_joint(vc, n1, n2),
+                   prior_joint_loop(oracle_vc, n1, n2), lambda key: key[0] > k)
+    assert_cut_law(insample.prior_marginal_global(vc, n1, n2),
+                   prior_marginal_global_loop(oracle_vc, n1, n2), lambda r: r > k)
     global_shared = prior_joint_global_shared_loop(oracle_vc, n1, n2)
-    assert_same_law(insample.prior_joint_global_shared(vc, n1, n2), global_shared)
-    by_t = global_shared.marginal(1).entries
-    assert_same_law(insample.prior_marginal_shared(vc, n1, n2),
-                    PmfTable({t: by_t[t] for t in sorted(by_t)}))
+    assert_cut_law(insample.prior_joint_global_shared(vc, n1, n2), global_shared,
+                   lambda key: key[0] > k)
+    # the shared law sums the kept (r, t) cells, so it is exact on them and
+    # falls short of the uncut law by the (r, t) mass dropped above, at most
+    # eps; the keys it leaves out have t > K
+    shared = insample.prior_marginal_shared(vc, n1, n2)
+    kept = PmfTable({key: lp for key, lp in global_shared.entries.items() if key[0] <= k})
+    by_t = kept.marginal(1).entries
+    assert_same_law(shared, PmfTable({t: by_t[t] for t in sorted(by_t)}))
+    uncut = global_shared.marginal(1)
+    assert all(t > k for t in set(uncut.entries) - set(shared.entries))
+
+
+@pytest.mark.parametrize("n1,n2", [(1, 1), (1, 9), (9, 1), (6, 7), (20, 13)])
+def test_lattice_cells_counts_every_cut(n1, n2):
+    for k in range(1, n1 + n2 + 1):
+        cells = sum(min(r1 + r2, k) - max(r1, r2) + 1
+                    for r1 in range(1, min(n1, k) + 1) for r2 in range(1, min(n2, k) + 1))
+        assert insample.lattice_cells(n1, n2, k) == cells
+
+
+@pytest.mark.parametrize("params", ORACLE_PARAMS)
+def test_lattice_cells_match_the_built_lattice(params):
+    vc = VCoefficients(params)
+    for n1, n2 in ((1, 1), (3, 8), (13, 50), (50, 50)):
+        lat = insample.lattice(vc, n1, n2)
+        assert lat.k == insample.lattice_cut(vc, n1 + n2)
+        assert insample.lattice_cells(n1, n2, lat.k) == lat.r.size
+
+
+def loop_law_by(entries, key_of, k):
+    """The loop law's log masses summed by ``key_of(key)`` over its keys
+    with r <= k, in ascending order of the new key."""
+    by: dict = {}
+    for key, lp in entries.items():
+        if key[0] <= k:
+            by.setdefault(key_of(key), []).append(lp)
+    return PmfTable({x: log_sum_exp(by[x]) for x in sorted(by)})
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(1, 30), st.integers(1, 30), st.floats(0.1, 10.0), st.floats(0.1, 10.0),
+       st.floats(0.1, 60.0))
+def test_cut_lattice_matches_uncut_loop(n1, n2, g1, g2, lam):
+    # the cut keeps the loop's cells exactly and drops at most eps; the one
+    # linear pass keeps every key of the global and shared laws exact
+    params = ModelParams(g1, g2, OneShiftedPoisson(lam))
+    vc, oracle_vc = VCoefficients(params), VCoefficients(params)
+    k = insample.lattice_cut(vc, n1 + n2)
+    loop = prior_joint_loop(oracle_vc, n1, n2)
+    assert_cut_law(insample.prior_joint(vc, n1, n2), loop, lambda key: key[0] > k)
+    laws = insample.summarize(vc, n1, n2)
+    assert_same_law(laws.global_law, loop_law_by(loop.entries, lambda key: key[0], k))
+    assert_same_law(laws.shared_law,
+                    loop_law_by(loop.entries, lambda key: key[1] + key[2] - key[0], k))
+
+
+@pytest.mark.parametrize("params", ORACLE_PARAMS + [
+    # V^3 = 0 on this support: the cut keeps r = 3, whose cells are zero
+    ModelParams(1.3, 0.6, TabulatedPrior([0.5, 0.5, 0.0]))])
+def test_summary_is_the_laws_reduced(params):
+    vc = VCoefficients(params)
+    for n1, n2 in ((1, 1), (2, 2), (7, 5), (13, 50)):
+        laws = insample.summarize(vc, n1, n2, top=20)
+        joint = insample.prior_joint(vc, n1, n2)
+        assert laws.joint_top == joint.top_entries(20)
+        assert laws.joint_mass == pytest.approx(joint.total_mass(), abs=1e-14)
+        assert_same_law(laws.global_law, insample.prior_marginal_global(vc, n1, n2))
+        assert_same_law(laws.shared_law, insample.prior_marginal_shared(vc, n1, n2))
+        means = [sum(key[c] * p for key, p in joint.probs().items()) for c in (1, 2, 0)]
+        e_k1, e_k2, e_k, e_s = laws.expected
+        assert [e_k1, e_k2, e_k] == pytest.approx(means, rel=1e-13)
+        assert e_s == e_k1 + e_k2 - e_k
 
 
 @pytest.mark.parametrize("n1,n2", [(5, 0), (0, 5)])

@@ -13,6 +13,7 @@ from vecfdp.logmath import (
     log_gamma,
     log_pochhammer,
     log_sum_exp,
+    log_sum_exp_by,
 )
 from vecfdp.mprior import OneShiftedPoisson, prior_window
 
@@ -85,6 +86,28 @@ def test_log_sum_exp_permutation_invariant():
     base = log_sum_exp(terms)
     assert log_sum_exp(list(reversed(terms))) == pytest.approx(base, rel=1e-12)
     assert log_sum_exp(sorted(terms)) == pytest.approx(base, rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5),
+                          st.one_of(st.floats(-3000.0, 0.0), st.just(LOG_ZERO))),
+                min_size=1, max_size=30))
+def test_log_sum_exp_by_keeps_groups_far_below_the_peak(cells):
+    # groups up to 3000 nats below the peak are summed below their own
+    # peak; a group of zeros gives -inf, and so does a group with no cell
+    index = np.array([g for g, _ in cells])
+    values = np.array([v for _, v in cells])
+    got = log_sum_exp_by(index, values, 7)
+    for g in range(7):
+        want = log_sum_exp([v for i, v in cells if i == g])
+        if want == LOG_ZERO:
+            assert got[g] == LOG_ZERO
+        else:
+            assert got[g] == pytest.approx(want, rel=1e-15, abs=1e-12)
+    peak = values.max()
+    if peak > LOG_ZERO:  # the caller's weights give the same sums
+        linear = np.exp(values - peak)
+        assert np.array_equal(log_sum_exp_by(index, values, 7, linear), got)
 
 
 def test_log_binomial():
