@@ -140,33 +140,6 @@ def test_insample_large_table_reports_correlation_only(capsys):
     assert 0.0 < report["correlation"] <= 1.0
 
 
-def test_insample_100_by_100_table_small_memory(tmp_path):
-    # the largest table the CLI reports in-sample pmfs for: its lattice has
-    # about 3.4e5 cells
-    sample = draw_sample(generate_population(60, 0.9, 0.85, seed=3), 100, 100, seed=5)
-    path = tmp_path / "hundred.csv"
-    write_csv(sample.table(), path)
-    src = str(Path(vecfdp.__file__).resolve().parents[1])
-    probe = (
-        "import contextlib, io, json, resource\n"
-        "from vecfdp.cli import main\n"
-        "out = io.StringIO()\n"
-        "with contextlib.redirect_stdout(out):\n"
-        f"    code = main(['insample', {str(path)!r}])\n"
-        "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "report = json.loads(out.getvalue())\n"
-        "print(json.dumps({'code': code, 'rss_kb': rss, 'n': report['input']['n1'],\n"
-        "                  'mass': report['pmf_joint']['total_mass']}))\n"
-    )
-    done = subprocess.run([sys.executable, "-c", probe], check=True,
-                          capture_output=True, text=True, cwd=src, timeout=300)
-    result = json.loads(done.stdout)
-    assert result["code"] == 0
-    assert result["n"] == 100
-    assert result["mass"] == pytest.approx(1.0, abs=1e-8)
-    assert result["rss_kb"] < 250 * 1024
-
-
 def _peak_rss_probe(argv) -> dict:
     """Run ``main(argv)`` in a fresh interpreter: exit code, in-process
     seconds, peak RSS in kB and the parsed report.  The peak is the
@@ -190,6 +163,19 @@ def _peak_rss_probe(argv) -> dict:
     done = subprocess.run([sys.executable, "-c", probe], check=True,
                           capture_output=True, text=True, cwd=src, timeout=300)
     return json.loads(done.stdout)
+
+
+def test_insample_100_by_100_table_small_memory(tmp_path):
+    # a table at the old size cap: cut at K = 87 its lattice has 117 305
+    # cells (348 350 uncut); the child's own peak is about 37 MB
+    sample = draw_sample(generate_population(60, 0.9, 0.85, seed=3), 100, 100, seed=5)
+    path = tmp_path / "hundred.csv"
+    write_csv(sample.table(), path)
+    result = _peak_rss_probe(["insample", str(path)])
+    assert result["code"] == 0
+    assert result["report"]["input"]["n1"] == 100
+    assert result["report"]["pmf_joint"]["total_mass"] == pytest.approx(1.0, abs=1e-8)
+    assert result["rss_kb"] < 250 * 1024
 
 
 def test_insample_ants_reports_all_laws(capsys):
