@@ -1,13 +1,13 @@
 """Priors on the total number of species M (a positive integer), and the
-one truncated series over M that every exact law of the package sums.
+windows their expectations are taken over.
 
 The model is agnostic to this distribution: every downstream quantity only
 needs the pmf ``q_M`` on arrays of m.  Three variants are provided: the
 1-shifted Poisson used by default, a point mass (useful for exact finite
-checks), and an arbitrary tabulated pmf.  :func:`log_series` sums the V
-coefficients and the posterior of the unseen species count; every prior
-expectation is a dot product over the prior's window, whose two ends are
-taken in closed form (:func:`prior_window`).
+checks), and an arbitrary tabulated pmf.  Every prior expectation is a dot
+product over the prior's window, whose two ends are taken in closed form
+(:func:`prior_window`).  The V series, which sums over the same pmf, keeps
+its truncation rule in :mod:`vecfdp.vcoef`.
 """
 
 from __future__ import annotations
@@ -19,93 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .logmath import LOG_ZERO, ConvergenceError, DomainError, log_factorial
-
-#: consecutive sub-tolerance terms required before a tail is declared dead
-TAIL_RUN = 5
-#: terms past the guard in the first block; later blocks double.  The first
-#: block reaches the guard at once, since the stopping rule cannot fire before
-_TAIL_BLOCK = 64
-#: below any log term; shifts a row whose terms so far are all zero
-_SHIFT_FLOOR = -1e300
-
-
-def log_series(log_term, start, guard, cap: int | None, *,
-               tol: float, max_terms: int):
-    """Sum exp(log_term(m)) over m = start, start + 1, ... in log space, for
-    a batch of series at once.
-
-    ``start`` and ``guard`` hold one entry per series (a row); an int is a
-    batch of one.  ``log_term`` maps a 2-D int64 array of indices, one row
-    per series, to their log terms (-inf for a zero term); it is evaluated
-    on blocks of doubling size, at the same offsets from ``start`` in every
-    row.  A row stops at the first m past its guard that ends a run of
-    ``TAIL_RUN`` terms, each at most ``tol`` times the row's partial sum up
-    to and including it.  A finite ``cap`` (the last support point) is
-    summed exactly instead.  A row that needs more than ``max_terms`` terms
-    raises ``ConvergenceError``.
-
-    Returns (log totals, counts, log terms): row i summed the first
-    counts[i] columns of its log terms, at m = start[i], start[i] + 1, ...
-    """
-    start = np.asarray(start, dtype=np.int64).reshape(-1)
-    guard = np.asarray(guard, dtype=np.int64).reshape(-1, 1)
-    if cap is None:
-        limit = np.full(start.size, max_terms)
-    else:
-        limit = np.clip(np.minimum(cap + 1 - start, max_terms), 0, None)
-    stop = int(limit.max(initial=0))
-    log_tol = math.log(tol)
-    total = np.full(start.size, LOG_ZERO)  # every row's partial sum so far
-    result, count = [LOG_ZERO] * start.size, limit.tolist()
-    live = set(np.flatnonzero(limit).tolist())  # rows still summing
-    blocks = []
-    low_run = np.zeros((start.size, TAIL_RUN), dtype=bool)  # flags of the last terms
-    lo, tail = 0, _TAIL_BLOCK
-    size = max(int((guard[:, 0] - start).max(initial=-1)) + 1, 0) + tail
-    while lo < stop and live:
-        off = np.arange(lo, min(lo + size, stop))
-        m = start[:, None] + off
-        term = log_term(m)
-        if cap is not None:
-            term = np.where(off < limit[:, None], term, LOG_ZERO)
-        # partial sums in linear space below a per-row shift: their rounding
-        # error is relative to the sum, not to the size of its log.  The
-        # floor keeps the shift finite on a row whose terms are all zero.
-        shift = np.maximum(total, np.maximum.reduce(term, axis=1, initial=_SHIFT_FLOOR))
-        shift = shift[:, None]
-        partial = term - shift  # one buffer, updated in place
-        with np.errstate(divide="ignore"):
-            np.exp(partial, out=partial)
-            np.cumsum(partial, axis=1, out=partial)
-            partial += np.exp(total[:, None] - shift)
-            np.log(partial, out=partial)
-        partial += shift
-        if cap is None:
-            low = (m > guard) & (partial > LOG_ZERO) & (term <= log_tol + partial)
-            low = np.concatenate((low_run, low), axis=1)
-            low_run = low[:, -TAIL_RUN:]
-            # ended[:, i]: the term at column i closes a run of TAIL_RUN lows
-            ended = low[:, TAIL_RUN:].copy()
-            for k in range(1, TAIL_RUN):
-                ended &= low[:, TAIL_RUN - k:low.shape[1] - k]
-            closed, last = ended.any(axis=1), ended.argmax(axis=1)
-        else:
-            closed, last = limit <= lo + off.size, limit - lo - 1
-        for i in np.flatnonzero(closed).tolist():
-            if i in live:
-                live.discard(i)
-                result[i] = float(partial[i, last[i]])
-                count[i] = lo + int(last[i]) + 1
-        total = partial[:, -1]
-        blocks.append(term)
-        lo += off.size
-        size = tail = 2 * tail
-    short = sorted(live) if cap is None else np.flatnonzero(start + limit <= cap).tolist()
-    if short:
-        raise ConvergenceError(
-            f"series from m = {int(start[short[0]])} needs more than {max_terms} terms")
-    terms = np.concatenate(blocks, axis=1) if blocks else np.zeros((start.size, 0))
-    return np.array(result), np.array(count), terms
 
 
 class MPrior(ABC):

@@ -39,6 +39,8 @@ def _result(name: str, measured: float, threshold: float,
 
 #: the default parameter grid: concentrations, then prior rates
 GAMMAS, LAMBDAS = (0.3, 1.0, 3.0), (0.5, 2.0, 8.0)
+#: the grid's corners, for the costlier checks
+CORNER_GAMMAS, CORNER_LAMBDAS = (GAMMAS[0], GAMMAS[-1]), (LAMBDAS[0], LAMBDAS[-1])
 
 
 def grid_params(gammas=GAMMAS, lams=LAMBDAS):
@@ -58,7 +60,7 @@ def _default_state(n1: int, n2: int, shared: bool) -> prediction.ObservedState:
 
 
 def check_normalization(max_n: int = 4, max_m: int = 2, *,
-                        gammas=(0.3, 3.0), lams=(0.5, 8.0),
+                        gammas=CORNER_GAMMAS, lams=CORNER_LAMBDAS,
                         tol: float = 1e-8) -> CheckResult:
     """All pmfs sum to one across a parameter/size grid."""
     worst = 0.0
@@ -137,7 +139,7 @@ def check_recurrence(tol: float = 1e-8) -> CheckResult:
 def check_cap_doubling(tol: float = 1e-12) -> CheckResult:
     """Doubling the series term cap leaves V unchanged to relative tol."""
     worst = 0.0
-    for params in grid_params(gammas=(0.3, 3.0), lams=(0.5, 8.0)):
+    for params in grid_params(CORNER_GAMMAS, CORNER_LAMBDAS):
         for (n1, n2, r) in ((5, 5, 3), (2, 6, 4), (6, 1, 2)):
             base = log_v(n1, n2, r, params, max_terms=10**6)
             doubled = log_v(n1, n2, r, params, max_terms=2 * 10**6)
@@ -149,8 +151,8 @@ def check_single_group_normalization(max_n: int = 10,
                                      tol: float = 1e-10) -> CheckResult:
     """sum_r V^r_n |C(n, r; -gamma)| = 1 for the single-group reduction."""
     worst = 0.0
-    for gamma in (0.3, 1.0, 3.0):
-        for lam in (0.5, 2.0, 8.0):
+    for gamma in GAMMAS:
+        for lam in LAMBDAS:
             params = ModelParams(gamma, 1.0, OneShiftedPoisson(lam))
             table = build_central_table(gamma, max_n)
             for n in range(1, max_n + 1):

@@ -6,15 +6,15 @@ group sample sizes ``n1`` and ``n2``:
     V^r_{n1,n2} = sum_{m >= max(r,1)} (m)_{r fall} q_M(m)
                   / [ (gamma1*m)_{n1} (gamma2*m)_{n2} ]
 
-The series converges for every pmf q_M.  It is summed on numpy blocks by
-the package's one series kernel, :func:`vecfdp.mprior.log_series`, whose
-adaptive truncation is validated by cap-doubling invariance, a recurrence
-identity, a large-sample asymptotic expansion and mpmath oracles.  At a
-large prior rate the series starts past a head that a bound shows to hold
-at most tol / 2 of it (:func:`_series_start`).
+The series converges for every pmf q_M.  This module owns its truncation
+rule: :func:`_v_rows` sums a batch of such series on numpy blocks and stops
+each by an adaptive rule past a guard, validated by cap-doubling
+invariance, a recurrence identity, a large-sample asymptotic expansion and
+mpmath oracles.  At a large prior rate the series starts past a head that a
+bound shows to hold at most tol / 2 of it (:func:`_series_start`).
 :func:`log_v` sums one coefficient, or hands back its whole series;
-:func:`log_v_many` sums a run of r at fixed sizes as one batch of that
-kernel, with the same stopping rule and the same values.
+:func:`log_v_many` sums a run of r at fixed sizes in batches of rows, with
+the same stopping rule and the same values.
 :class:`VCoefficients` forms each key's total and :class:`Posterior`
 once.
 """
@@ -27,11 +27,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .logmath import LOG_ZERO, DomainError, log_factorial, log_gamma, log_sum_exp
-from .mprior import MPrior, log_series
+from .logmath import LOG_ZERO, ConvergenceError, DomainError, log_factorial, log_gamma, log_sum_exp
+from .mprior import MPrior
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_TERMS = 10**6
+#: consecutive sub-tolerance terms that end a series past its guard
+_TAIL_RUN = 5
+#: terms past the last guard in the first block; later blocks double.  The
+#: first block reaches the guards at once, since no row can stop before
+_TAIL_BLOCK = 64
+#: below any log term; shifts a row whose terms so far are all zero
+_SHIFT_FLOOR = -1e300
 #: terms in the first block of one batch of :func:`log_v_many`
 _BATCH_CELLS = 1 << 18
 #: shortest head worth certifying: below it, summing the head costs less
@@ -145,16 +152,25 @@ def _series_start(r: int, prior: MPrior, sizes, tol: float) -> int:
 
 def _v_rows(n1: int, n2: int, rs: np.ndarray, params: ModelParams, *,
             tol: float, max_terms: int):
-    """The series of V^r_{n1,n2} for every r in ``rs`` (ascending), as one
-    batch of :func:`vecfdp.mprior.log_series`; returns its (log totals,
-    counts, log terms) and each row's first m.
+    """The series of V^r_{n1,n2} for every r in ``rs`` (ascending), summed
+    as one batch: (log totals, counts, log terms) and each row's first m.
+    Row i summed the first counts[i] columns of its log terms, at
+    m = starts[i], starts[i] + 1, ...
 
     Each row starts where :func:`_series_start` puts it, so a row of a
     batch is the series :func:`log_v` sums for its key.  The log term at m
-    is D(m) - log (m - r)! (see :func:`_log_d`): a block evaluates D once
-    over the span of its indices and gathers it, so a run of consecutive r
-    costs about one log-gamma call per group and per index, not one per
-    cell.
+    is D(m) - log (m - r)! (see :func:`_log_d`).  Terms are evaluated on
+    blocks at the same offsets from every row's start: the first block
+    reaches the last guard (the prior's mode plus r) and ``_TAIL_BLOCK``
+    terms past it, and later blocks double.  A block evaluates D once over
+    the span of its indices and gathers it, so a run of consecutive r costs
+    about one log-gamma call per group and per index, not one per cell.
+
+    A row stops at the first m past its guard that ends a run of
+    ``_TAIL_RUN`` terms, each at most ``tol`` times the row's partial sum
+    up to and including it.  A finite support is summed exactly, to its
+    last point.  A row that needs more than ``max_terms`` terms raises
+    ``ConvergenceError``.
     """
     if n1 < 0 or n2 < 0:
         raise DomainError(f"sample sizes must be >= 0, got ({n1}, {n2})")
@@ -162,10 +178,10 @@ def _v_rows(n1: int, n2: int, rs: np.ndarray, params: ModelParams, *,
         raise DomainError(f"r must be >= 0, got r={int(rs.min())}")
     # r > n1 + n2 never arises in a partition law but the series is still
     # convergent; the recurrence identity evaluates such coefficients.
-    prior = params.m_prior
+    prior, cap = params.m_prior, params.m_prior.support_max
     sizes = [(float(g), n) for g, n in ((params.gamma1, n1), (params.gamma2, n2)) if n > 0]
     # a finite support is summed exactly
-    if prior.support_max is None and prior.mode() >= _HEAD_MIN:
+    if cap is None and prior.mode() >= _HEAD_MIN:
         starts = np.array([_series_start(r, prior, sizes, tol) for r in rs.tolist()],
                           dtype=np.int64)
     else:
@@ -174,18 +190,66 @@ def _v_rows(n1: int, n2: int, rs: np.ndarray, params: ModelParams, *,
     # Python's min and max: on the usual single row, far cheaper than numpy's
     first, lifted = starts.tolist(), lift.tolist()
     low, high, lift_low, lift_high = min(first), max(first), min(lifted), max(lifted)
-    shift = (lift - lift_low)[:, None]
-
-    def log_term(m):
-        off, width = int(m[0, 0] - starts[0]), m.shape[1]  # the block's first offset
-        d = _log_d(np.arange(low + off, high + off + width), prior, sizes)
-        log_fact = log_factorial(np.arange(lift_low + off, lift_high + off + width))
-        out = d[m - (low + off)]
-        out -= log_fact[shift + np.arange(width)]
-        return out
-
-    total, count, terms = log_series(log_term, starts, prior.mode() + rs, prior.support_max,
-                                     tol=tol, max_terms=max_terms)
+    # each row's first column in a block's spans of D and of log (m - r)!
+    at_d, at_fact = (starts - low)[:, None], (lift - lift_low)[:, None]
+    guard = prior.mode() + rs - starts  # offset of each row's guard
+    if cap is None:
+        limit = np.full(rs.size, max_terms)
+    else:
+        limit = np.clip(np.minimum(cap + 1 - starts, max_terms), 0, None)
+    stop = int(limit.max(initial=0))
+    log_tol = math.log(tol)
+    carry = np.full(rs.size, LOG_ZERO)  # every row's partial sum so far
+    total, count = np.full(rs.size, LOG_ZERO), limit.copy()
+    live = limit > 0  # rows still summing
+    blocks = []
+    low_run = np.zeros((rs.size, _TAIL_RUN), dtype=bool)  # flags of the last terms
+    lo, tail = 0, _TAIL_BLOCK
+    size = max(int(guard.max(initial=-1)) + 1, 0) + tail
+    while lo < stop and live.any():
+        width = min(size, stop - lo)
+        cols = np.arange(width)
+        d = _log_d(np.arange(low + lo, high + lo + width), prior, sizes)
+        term = d[at_d + cols]
+        term -= log_factorial(np.arange(lift_low + lo, lift_high + lo + width))[at_fact + cols]
+        if cap is not None:
+            term = np.where(cols < (limit - lo)[:, None], term, LOG_ZERO)
+        # partial sums in linear space below a per-row shift: their rounding
+        # error is relative to the sum, not to the size of its log.  The
+        # floor keeps the shift finite on a row whose terms are all zero.
+        shift = np.maximum(carry, np.maximum.reduce(term, axis=1, initial=_SHIFT_FLOOR))[:, None]
+        partial = term - shift  # one buffer, updated in place
+        with np.errstate(divide="ignore"):
+            np.exp(partial, out=partial)
+            np.cumsum(partial, axis=1, out=partial)
+            partial += np.exp(carry[:, None] - shift)
+            np.log(partial, out=partial)
+        partial += shift
+        if cap is None:
+            flags = (cols > (guard - lo)[:, None]) & (partial > LOG_ZERO)
+            flags &= term <= log_tol + partial
+            flags = np.concatenate((low_run, flags), axis=1)
+            low_run = flags[:, -_TAIL_RUN:]
+            # ended[:, i]: the term at column i closes a run of _TAIL_RUN lows
+            ended = flags[:, _TAIL_RUN:].copy()
+            for k in range(1, _TAIL_RUN):
+                ended &= flags[:, _TAIL_RUN - k:flags.shape[1] - k]
+            closed, last = ended.any(axis=1), ended.argmax(axis=1)
+        else:
+            closed, last = limit <= lo + width, limit - lo - 1
+        done = (closed & live).nonzero()[0]
+        total[done] = partial[done, last[done]]
+        count[done] = lo + last[done] + 1
+        live[done] = False
+        carry = partial[:, -1]
+        blocks.append(term)
+        lo += width
+        size = tail = 2 * tail
+    short = (live if cap is None else starts + limit <= cap).nonzero()[0]
+    if short.size:
+        raise ConvergenceError(
+            f"series from m = {int(starts[short[0]])} needs more than {max_terms} terms")
+    terms = np.concatenate(blocks, axis=1) if blocks else np.zeros((rs.size, 0))
     return total, count, terms, starts
 
 
@@ -195,10 +259,10 @@ def log_v(n1: int, n2: int, r: int, params: ModelParams, *,
     """log V^r_{n1,n2}; with ``series``, the series as summed: (log total,
     m, log terms).
 
-    Summed by :func:`vecfdp.mprior.log_series` from m = max(r, 1), or from
-    the later start :func:`_series_start` certifies, with the prior's mode
-    plus r as guard: the general term decays monotonically only past the
-    bulk of q_M's mass.  Finite-support priors are summed exactly.
+    Summed by :func:`_v_rows` from m = max(r, 1), or from the later start
+    :func:`_series_start` certifies, with the prior's mode plus r as guard:
+    the general term decays monotonically only past the bulk of q_M's mass.
+    Finite-support priors are summed exactly.
     """
     total, count, terms, starts = _v_rows(n1, n2, np.array([r], dtype=np.int64), params,
                                           tol=tol, max_terms=max_terms)

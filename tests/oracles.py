@@ -15,15 +15,17 @@ species runs cell by cell with a double loop per cell, and its global
 marginal one k at a time.  The posterior of M* is also kept whole, with
 no cut at either end (:class:`WholeWindowV` runs every law on it); the
 central GFC table is filled row by row; and the experiments' quartile rows
-come from numpy calls one cell at a time.  A V series is also summed from
-m = max(r, 1), head included.  The start of the Poisson
-prior's window is also taken from scipy's Poisson quantile, and the window
-itself is also summed by the series kernel's stopping rule.  The moment fit
-is also solved by regula falsi with the Illinois rule.  The scalar
-log factorials and binomials these loops use, the large-sample expansion
-of V, and the tests' data makers (a table written as CSV, multinomial
-draws from a synthetic population, forward samples of the model) live
-here too: nothing in the package calls them.
+come from numpy calls one cell at a time.  The adaptive series kernel
+:func:`log_series` sums any log-space series by the stopping rule of
+``vcoef._v_rows``, from terms a callback supplies: on the V terms it
+checks ``_v_rows`` bit for bit, it sums a V series from m = max(r, 1),
+head included, and it sums the prior's window by that stopping rule.  The
+start of the Poisson prior's window is also taken from scipy's Poisson
+quantile.  The moment fit is also solved by regula falsi with the Illinois
+rule.  The scalar log factorials and binomials these loops use, the
+large-sample expansion of V, and the tests' data makers (a table written
+as CSV, multinomial draws from a synthetic population, forward samples of
+the model) live here too: nothing in the package calls them.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from vecfdp.logmath import (
     _DIRECT,
     _STIRLING,
     LOG_ZERO,
+    ConvergenceError,
     DomainError,
     _stirling_gap,
     log_factorial as log_factorial_array,
@@ -56,7 +59,6 @@ from vecfdp.mprior import (
     PointMass,
     PriorWindow,
     TabulatedPrior,
-    log_series,
 )
 from vecfdp.pmftable import PmfTable
 from vecfdp.prediction import (
@@ -65,7 +67,7 @@ from vecfdp.prediction import (
     _log_v_ratios,
 )
 from vecfdp.simulate import SyntheticPopulation
-from vecfdp.vcoef import ModelParams, VCoefficients, log_v
+from vecfdp.vcoef import _SHIFT_FLOOR, _TAIL_BLOCK, _TAIL_RUN, ModelParams, VCoefficients, log_v
 
 
 def log_falling_factorial(m: float, r: int) -> float:
@@ -338,11 +340,90 @@ def simpson_moment_mp(gamma, lam, dps: int = 30):
         return (1 + g) * total
 
 
+def log_series(log_term, start, guard, cap: int | None, *,
+               tol: float, max_terms: int):
+    """Sum exp(log_term(m)) over m = start, start + 1, ... in log space, for
+    a batch of series at once.
+
+    ``start`` and ``guard`` hold one entry per series (a row); an int is a
+    batch of one.  ``log_term`` maps a 2-D int64 array of indices, one row
+    per series, to their log terms (-inf for a zero term); it is evaluated
+    on blocks of doubling size, at the same offsets from ``start`` in every
+    row.  A row stops at the first m past its guard that ends a run of
+    ``_TAIL_RUN`` terms, each at most ``tol`` times the row's partial sum up
+    to and including it.  A finite ``cap`` (the last support point) is
+    summed exactly instead.  A row that needs more than ``max_terms`` terms
+    raises ``ConvergenceError``.
+
+    Returns (log totals, counts, log terms): row i summed the first
+    counts[i] columns of its log terms, at m = start[i], start[i] + 1, ...
+    """
+    start = np.asarray(start, dtype=np.int64).reshape(-1)
+    guard = np.asarray(guard, dtype=np.int64).reshape(-1, 1)
+    if cap is None:
+        limit = np.full(start.size, max_terms)
+    else:
+        limit = np.clip(np.minimum(cap + 1 - start, max_terms), 0, None)
+    stop = int(limit.max(initial=0))
+    log_tol = math.log(tol)
+    total = np.full(start.size, LOG_ZERO)  # every row's partial sum so far
+    result, count = [LOG_ZERO] * start.size, limit.tolist()
+    live = set(np.flatnonzero(limit).tolist())  # rows still summing
+    blocks = []
+    low_run = np.zeros((start.size, _TAIL_RUN), dtype=bool)  # flags of the last terms
+    lo, tail = 0, _TAIL_BLOCK
+    size = max(int((guard[:, 0] - start).max(initial=-1)) + 1, 0) + tail
+    while lo < stop and live:
+        off = np.arange(lo, min(lo + size, stop))
+        m = start[:, None] + off
+        term = log_term(m)
+        if cap is not None:
+            term = np.where(off < limit[:, None], term, LOG_ZERO)
+        # partial sums in linear space below a per-row shift: their rounding
+        # error is relative to the sum, not to the size of its log.  The
+        # floor keeps the shift finite on a row whose terms are all zero.
+        shift = np.maximum(total, np.maximum.reduce(term, axis=1, initial=_SHIFT_FLOOR))
+        shift = shift[:, None]
+        partial = term - shift  # one buffer, updated in place
+        with np.errstate(divide="ignore"):
+            np.exp(partial, out=partial)
+            np.cumsum(partial, axis=1, out=partial)
+            partial += np.exp(total[:, None] - shift)
+            np.log(partial, out=partial)
+        partial += shift
+        if cap is None:
+            low = (m > guard) & (partial > LOG_ZERO) & (term <= log_tol + partial)
+            low = np.concatenate((low_run, low), axis=1)
+            low_run = low[:, -_TAIL_RUN:]
+            # ended[:, i]: the term at column i closes a run of _TAIL_RUN lows
+            ended = low[:, _TAIL_RUN:].copy()
+            for k in range(1, _TAIL_RUN):
+                ended &= low[:, _TAIL_RUN - k:low.shape[1] - k]
+            closed, last = ended.any(axis=1), ended.argmax(axis=1)
+        else:
+            closed, last = limit <= lo + off.size, limit - lo - 1
+        for i in np.flatnonzero(closed).tolist():
+            if i in live:
+                live.discard(i)
+                result[i] = float(partial[i, last[i]])
+                count[i] = lo + int(last[i]) + 1
+        total = partial[:, -1]
+        blocks.append(term)
+        lo += off.size
+        size = tail = 2 * tail
+    short = sorted(live) if cap is None else np.flatnonzero(start + limit <= cap).tolist()
+    if short:
+        raise ConvergenceError(
+            f"series from m = {int(start[short[0]])} needs more than {max_terms} terms")
+    terms = np.concatenate(blocks, axis=1) if blocks else np.zeros((start.size, 0))
+    return np.array(result), np.array(count), terms
+
+
 def prior_window_by_series(prior, *, tol: float = 1e-12,
                            max_terms: int = 10**6) -> PriorWindow:
-    """The prior's window summed by the series kernel from the prior's head,
-    guarded by its mode and stopped by the kernel's adaptive rule (about
-    tol * sqrt(lam) of the mass left past it at a Poisson rate lam),
+    """The prior's window summed by :func:`log_series` from the prior's
+    head, guarded by its mode and stopped by the kernel's adaptive rule
+    (about tol * sqrt(lam) of the mass left past it at a Poisson rate lam),
     normalized by the log total."""
     start = prior.head(min(tol * 1e-3, 1e-15))
     log_total, count, log_q = log_series(prior.log_pmf_array, start, prior.mode(),
@@ -571,7 +652,7 @@ def posterior_marginal_global_new_loop(vc: VCoefficients, state: ObservedState,
 def v_series_from_head(n1: int, n2: int, r: int, params, *, tol: float = 1e-12,
                        max_terms: int = 10**6):
     """The series of V^r_{n1,n2} summed from m = max(r, 1), head and all, by
-    the package's series kernel on scipy log-gamma terms: (log total, m,
+    the adaptive series kernel on scipy log-gamma terms: (log total, m,
     log terms).  The package starts a large-rate series later, where a
     bound shows the head negligible."""
     prior, first = params.m_prior, max(r, 1)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vecfdp import insample, simulate
+from vecfdp import insample, simulate, validation
 from vecfdp.logmath import DomainError, log_sum_exp
 from vecfdp.mprior import OneShiftedPoisson, PointMass, TabulatedPrior, window_eps
 from vecfdp.pmftable import PmfTable
@@ -20,10 +20,7 @@ from oracles import (
 
 PARAMS = ModelParams(1.3, 0.6, OneShiftedPoisson(2.0))
 
-GRID = [ModelParams(g1, g2, OneShiftedPoisson(lam))
-        for g1 in (0.3, 1.0, 3.0)
-        for g2 in (0.3, 1.0, 3.0)
-        for lam in (0.5, 2.0, 8.0)]
+GRID = list(validation.grid_params())
 
 
 @pytest.fixture(scope="module")

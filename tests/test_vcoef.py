@@ -8,11 +8,19 @@ from hypothesis import strategies as st
 
 from vecfdp.abundance import ants_table
 from vecfdp.estimation import fit_all
-from vecfdp.logmath import LOG_ZERO, ConvergenceError, DomainError, log_sum_exp
+from vecfdp.logmath import LOG_ZERO, ConvergenceError, DomainError, log_factorial, log_sum_exp
 from vecfdp.mprior import OneShiftedPoisson, PointMass, TabulatedPrior
-from vecfdp.vcoef import ModelParams, VCoefficients, _log_d, log_v, log_v_many
+from vecfdp.vcoef import (
+    _BATCH_CELLS,
+    ModelParams,
+    VCoefficients,
+    _log_d,
+    _v_rows,
+    log_v,
+    log_v_many,
+)
 
-from oracles import log_d_by_group, log_v_asymptotic, v_series_from_head
+from oracles import log_d_by_group, log_series, log_v_asymptotic, v_series_from_head
 
 
 def mp_series_oracle(n1, n2, r, gamma1, gamma2, lam, terms=2000, start=None):
@@ -304,3 +312,71 @@ def test_log_d_one_log_gamma_call_equals_one_per_group():
         for sizes in ([], [(0.7, 12)], [(0.7, 12), (2.5, 300)], [(1.0, 1)]):
             assert np.array_equal(_log_d(m, prior, sizes).view(np.int64),
                                   log_d_by_group(m, prior, sizes).view(np.int64))
+
+
+def v_rows_by_oracle(n1, n2, rs, params, starts, *, tol=1e-12, max_terms=10**6):
+    """The rows of ``_v_rows`` summed by the adaptive oracle kernel from the
+    same starts, each V term evaluated on its own index."""
+    prior = params.m_prior
+    sizes = [(float(g), n) for g, n in ((params.gamma1, n1), (params.gamma2, n2)) if n > 0]
+
+    def log_term(m):
+        out = _log_d(m.ravel(), prior, sizes).reshape(m.shape)
+        out -= log_factorial(m - rs[:, None])
+        return out
+
+    return log_series(log_term, starts, prior.mode() + rs, prior.support_max,
+                      tol=tol, max_terms=max_terms)
+
+
+def assert_rows_match_oracle(n1, n2, rs, params):
+    rs = np.asarray(rs, dtype=np.int64)
+    total, count, terms, starts = _v_rows(n1, n2, rs, params, tol=1e-12, max_terms=10**6)
+    expected = v_rows_by_oracle(n1, n2, rs, params, starts)
+    for got, want in zip((total, count, terms), expected):
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (n1, n2, rs, params)
+
+
+def test_v_rows_equal_oracle_kernel_on_grids():
+    # the points of the mpmath, recurrence, cap-doubling and run tests above
+    for n1, n2, r, g1, g2, lam in ((3, 2, 2, 0.7, 1.4, 2.0), (5, 5, 4, 1.0, 1.0, 0.5),
+                                   (1, 6, 3, 2.5, 0.3, 8.0), (3, 2, 2, 0.7, 1.4, 1e5),
+                                   (3, 2, 2, 0.7, 1.4, 1e6), (4, 0, 2, 0.5, 1.0, 2.0),
+                                   (5, 5, 3, 0.3, 3.0, 8.0)):
+        assert_rows_match_oracle(n1, n2, [r], ModelParams(g1, g2, OneShiftedPoisson(lam)))
+    for g1, g2, lam in ((0.5, 0.5, 1.0), (2.0, 0.5, 5.0), (1.0, 1.0, 1.0)):
+        params = ModelParams(g1, g2, OneShiftedPoisson(lam))
+        for n1 in range(0, 7):
+            for n2 in range(0, 7):
+                assert_rows_match_oracle(n1, n2, np.arange(0, 7), params)
+    table = ants_table()
+    fitted = fit_all(table).params
+    assert_rows_match_oracle(table.n1, table.n2, [table.r], fitted)
+    assert_rows_match_oracle(table.n1 + 600, table.n2 + 600, table.r + np.arange(1201), fitted)
+
+
+def test_v_rows_equal_oracle_kernel_on_batches():
+    # an in-sample batch on the largest small table, r = 1..K at lam = 25
+    assert_rows_match_oracle(50, 46, np.arange(1, 70),
+                             ModelParams(0.8, 1.3, OneShiftedPoisson(25.0)))
+    # rows from r = 0 up past the support, where V is zero
+    for prior in (PointMass(6), TabulatedPrior([0.2, 0.0, 0.5, 0.3])):
+        assert_rows_match_oracle(5, 3, np.arange(0, 9), ModelParams(1.2, 0.6, prior))
+    # the batches log_v_many sums a long large-rate run in
+    params = ModelParams(1.4, 0.7, OneShiftedPoisson(3e4))
+    rs = 30 + np.arange(20)
+    per = _BATCH_CELLS // (params.m_prior.mode() + 1)
+    assert 1 < per < rs.size
+    for i in range(0, rs.size, per):
+        assert_rows_match_oracle(940, 2240, rs[i:i + per], params)
+
+
+def test_v_rows_and_oracle_kernel_raise_alike():
+    params = ModelParams(1.0, 1.0, OneShiftedPoisson(50.0))
+    rs = np.arange(1, 4)
+    with pytest.raises(ConvergenceError) as ours:
+        _v_rows(2, 2, rs, params, tol=1e-12, max_terms=5)
+    with pytest.raises(ConvergenceError) as oracle:
+        v_rows_by_oracle(2, 2, rs, params, np.maximum(rs, 1), max_terms=5)
+    assert str(ours.value) == str(oracle.value)
