@@ -6,7 +6,8 @@ Reports are JSON (probabilities in both linear and log scale); row-oriented
 outputs (extrapolation curves, experiment tables) are CSV unless ``--format
 json`` asks for one JSON report.  Each subcommand accepts only the options
 it reads; any other is a usage error.
-Exit codes: 0 ok, 1 input error, 2 numerical error, 3 validation failure.
+Exit codes: 0 ok, 1 input error, 2 numerical error or a curve past its cell
+budget, 3 validation failure.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .logmath import ConvergenceError, DomainError
 from .mprior import OneShiftedPoisson
 from .prediction import (
     ObservedState,
+    coverage_cells,
     expected_new,
     extrapolation_curves,
     one_step_shared_pmf,
@@ -50,6 +52,11 @@ TOP_ENTRIES = 20
 #: cells of the largest in-sample lattice ``insample`` forms; counted from
 #: (n1, n2, K) before any work, so a larger one is declined at once
 CELL_BUDGET = 10**6
+#: cells of the largest coverage ``predict`` or ``curve`` forms (ratio runs,
+#: GFC rows, lattice corners); counted by ``coverage_cells`` before any work,
+#: so ``predict`` notes a larger one in place of ``coverage_prob`` and
+#: ``curve`` declines it with exit 2
+COVERAGE_BUDGET = 2 * 10**7
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,6 +69,10 @@ class _Parser(argparse.ArgumentParser):
 
 class SystemExit2(Exception):
     pass
+
+
+class BudgetError(Exception):
+    """A request whose cells, counted before any work, exceed their budget."""
 
 
 def _prob(p: float) -> dict:
@@ -315,8 +326,13 @@ def _cmd_predict(args) -> dict:
         "posterior_unseen": {"mean": posterior_m_mean(vc, state),
                              "pmf": _table_report(posterior_m_pmf(vc, state))},
         "expected_new": {"k1": exp.k1, "k2": exp.k2, "k": exp.k, "s": exp.s},
-        "coverage_prob": _prob(shared_coverage_prob(vc, state, m1, m2)),
     }
+    cells = coverage_cells(vc, state, (m1,), (m2,))
+    if cells <= COVERAGE_BUDGET:
+        report["coverage_prob"] = _prob(shared_coverage_prob(vc, state, m1, m2))
+    else:
+        report["note"] = (f"coverage_prob is reported only when it takes at most "
+                          f"{COVERAGE_BUDGET} cells; at this future size it takes {cells}")
     if m1 + m2 <= 12:
         report["shared_pmf"] = _table_report(shared_pmf(vc, state, m1, m2))
     return report
@@ -344,6 +360,10 @@ def _cmd_curve(args) -> list[dict]:
     table = ingest(args.table)
     vc, meta = _model_from_args(args, table)
     state = ObservedState.from_abundance(table)
+    cells = coverage_cells(vc, state, *zip(*args.grid))
+    if cells > COVERAGE_BUDGET:
+        raise BudgetError(f"the curve's coverage takes {cells} cells, past the budget of "
+                          f"{COVERAGE_BUDGET}; ask for a smaller or coarser --grid")
     return extrapolation_curves(vc, state, args.grid)
 
 
@@ -443,6 +463,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except (ConvergenceError, DomainError, MomentRangeError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except BudgetError as exc:
+        print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
     text = out.getvalue()

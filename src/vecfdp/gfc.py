@@ -14,11 +14,15 @@ counts), so there is no cancellation.  The central coefficients are the
 rho = 0 case.  ``_log_columns`` runs this recurrence column by column:
 column k over n = k..m is a first-order linear recurrence in n fed by
 column k - 1, so one numpy pass solves it.  It is the only code that runs
-the recurrence.  ``log_noncentral_row`` keeps each column's last entry, so
-a row that stops at column K costs O(m K) time and O(m) memory;
+the recurrence.  ``log_noncentral_rows`` keeps, of each column, the entries
+at a set of sizes m: one pass to the largest m gives every row, each one
+bit-identical to its own ``log_noncentral_row``, the one-m case.  Rows
+that stop at column K cost O(m K) time, and O(m) memory for the pass plus
+K + 1 entries per row kept.
 ``build_central_table`` keeps whole columns, so every row up to m comes
 from one pass.  The in-sample laws read the central row n, the predictive
-laws a non-central row m up to the posterior window's largest unseen count.
+laws non-central rows m up to the posterior window's largest unseen count,
+one pass per group for a whole grid of future sizes.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ def _log_columns(m: int, gamma: float, rho: float, top: int, emit) -> None:
     col = np.zeros(m + 1)
     step = max(1, _BLOCK // max(m, 1))
     with np.errstate(divide="ignore"):
-        np.cumsum(np.log(j + rho), out=col[1:])
+        np.add.accumulate(np.log(j + rho), out=col[1:])
         emit(0, col)
         for lo in range(1, top + 1, step):
             k = np.arange(lo, min(lo + step, top + 1))
@@ -66,7 +70,7 @@ def _log_columns(m: int, gamma: float, rho: float, top: int, emit) -> None:
             log_p = j[lo - 1:] + (gamma * k + rho)[:, None]
             np.log(log_p, out=log_p)
             log_p[j[lo - 1:] < k[:, None]] = 0.0
-            np.cumsum(log_p, axis=1, out=log_p)
+            np.add.accumulate(log_p, axis=1, out=log_p)
             for i in range(k.size):
                 p = log_p[i, i:]
                 col = col[:-1] - p
@@ -83,6 +87,7 @@ def log_noncentral_row(m: int, gamma: float, rho: float,
     times gamma^k.  Columns past ``kmax`` are never formed: the row's first
     top + 1 entries are those of the full row, in O(m top) time and O(m)
     memory.  With rho = 0 this is the central row: |C(m, 0)| = 0 for m >= 1.
+    This is :func:`log_noncentral_rows` at one m.
     """
     if m < 0:
         raise DomainError(f"m must be >= 0, got {m}")
@@ -97,6 +102,38 @@ def log_noncentral_row(m: int, gamma: float, rho: float,
     _log_columns(m, gamma, rho, top, emit)
     row[1:] += np.arange(1, top + 1) * math.log(gamma)
     return row
+
+
+def log_noncentral_rows(ms, gamma: float, rho: float, kmax: int) -> np.ndarray:
+    """log |C(m, k; -gamma, -rho)| for k = 0..min(m, kmax), for each m of the
+    ascending sizes ``ms``, from one pass of :func:`_log_columns` up to the
+    largest: a (len(ms), top + 1) array, top = min(max(ms), kmax), whose row
+    i is -inf past min(ms[i], kmax).  One m is :func:`log_noncentral_row`.
+
+    Column k's entry at n = m sits max(ms) - m from the column's end for
+    every k, so each column hands over one gather.  Every column step is a
+    prefix scan, so each row is bit-identical to
+    ``log_noncentral_row(m, gamma, rho, kmax)``.
+    """
+    if len(ms) == 1:
+        return log_noncentral_row(ms[0], gamma, rho, kmax)[None]
+    ms = np.asarray(ms, dtype=np.intp)
+    if ms.size == 0 or ms[0] < 0:
+        raise DomainError(f"need sizes m >= 0, got {ms.tolist()}")
+    if kmax < 0:
+        raise DomainError(f"kmax must be >= 0, got {kmax}")
+    last = int(ms[-1])
+    top = min(last, kmax)
+    rows = np.full((ms.size, top + 1), LOG_ZERO)
+    back = ms - (last + 1)  # col[back[i]] is column k's entry at n = ms[i]
+    first = np.searchsorted(ms, np.arange(top + 1)).tolist()  # rows with m >= k
+
+    def emit(k, col):
+        rows[first[k]:, k] = col[back[first[k]:]]
+
+    _log_columns(last, gamma, rho, top, emit)
+    rows[:, 1:] += np.arange(1, top + 1) * math.log(gamma)
+    return rows
 
 
 def build_central_table(gamma: float, max_n: int) -> np.ndarray:

@@ -8,7 +8,7 @@ feed on two ingredients: V-coefficient ratios and non-central generalized
 factorial coefficients |C(m, k; -gamma_j, -(gamma_j r_j + n_j))|.  Every
 ratio V^{r+k}_{n1+m1,n2+m2} / V^r_{n1,n2} is an expectation over the
 posterior of the unseen species count M*, from one helper,
-:func:`_log_v_ratios`: no law subtracts two logs of V, which reach 10^7 at
+:func:`_log_ratio_runs`: no law subtracts two logs of V, which reach 10^7 at
 sample sizes of 10^6.  The evaluator forms the posterior once per key
 (:meth:`VCoefficients.posterior`) and keeps its last run of ratios, so
 laws called in turn on one future size share that size's ratios.
@@ -16,8 +16,14 @@ The posterior is read on a window: the V series cut at both ends to all
 but tol of its mass, which moves a probability by at most tol.  The ratios
 vanish past the window's largest M*, K (4 on the ants table at its fitted
 parameters), so each law asks for its rows only up to the k it reads, and
-a row costs O(m K) time, not O(m^2).  GFC rows stay per law: the laws read
-rows of different shifts and lengths.
+a row costs O(m K) time, not O(m^2).
+
+The expected counts and the coverage are laws of a grid of future sizes:
+each piece depends on part of a point only, so it is formed once per
+distinct m1 or m2 (the probabilities of missing a species, the ratios'
+tilts, one pass of GFC rows per group) or once per grid (the falling
+factorials of M*), and a point combines them.  :func:`expected_new` and
+:func:`shared_coverage_prob` are the one-point grids; a curve is one pass.
 
 The joint law of new species (k, k1, k2) and its global marginal k are one
 log-space contraction, :func:`_log_new_species`:
@@ -34,18 +40,20 @@ over the posterior as arrays, at any future size.
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .gfc import log_noncentral_row
+from .gfc import log_noncentral_row, log_noncentral_rows
 from .logmath import _DIRECT, LOG_ZERO, DomainError, _stirling_gap, log_factorial, log_sum_exp
 from .pmftable import PmfTable, shared_marginal
 from .vcoef import VCoefficients
 
-#: cells of the coverage lattice and of the (k, M*) ratio matrix per block
+#: cells per block of the coverage corners and of the (points, k, M*) ratio cubes
 _LATTICE_BLOCK = 1 << 16
 
 
@@ -157,67 +165,111 @@ def _log_miss(c: np.ndarray, g: float, m: int) -> np.ndarray:
 
 
 def _log_sum_rows(x: np.ndarray) -> np.ndarray:
-    """log sum exp along the last axis; -inf where all its entries are."""
-    peak = x.max(axis=-1, keepdims=True)
+    """log sum exp along the last axis; -inf where all its entries are, a
+    log of zero whose warning the callers silence once for all their
+    blocks."""
+    peak = np.maximum.reduce(x, axis=-1, keepdims=True)
     peak[peak == LOG_ZERO] = 0.0
-    with np.errstate(divide="ignore"):
-        return peak[..., 0] + np.log(np.exp(x - peak).sum(axis=-1))
+    return peak[..., 0] + np.log(np.add.reduce(np.exp(x - peak), axis=-1))
 
 
-def _log_v_ratios(vc: VCoefficients, n1: int, n2: int, r: int,
-                  m1: int, m2: int) -> np.ndarray:
-    """log [V^{r+k}_{n1+m1,n2+m2} / V^r_{n1,n2}] for k = 0..m1+m2, as
-    expectations over the posterior of the unseen count M* (the V series
-    read as mixtures over the pool size, Gnedin & Pitman 2006):
+def _distinct(sizes: Sequence[int]) -> tuple[list[int], np.ndarray | slice]:
+    """The ascending distinct values of ``sizes``, and where each entry
+    sits among them: an index array, or the whole slice when the sizes are
+    those values already (as at one point)."""
+    values = list(sizes) if len(sizes) == 1 else sorted(set(sizes))
+    if values == list(sizes):
+        return values, slice(None)
+    where = {m: i for i, m in enumerate(values)}
+    return values, np.array([where[m] for m in sizes], dtype=np.intp)
+
+
+def _log_tilts(c: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """Row i: -log (C)_m at m = sizes[i] over C = c, as log [(c_0)_m / (c)_m]
+    (relative to the first C, with relative accuracy) less log (c_0)_m;
+    never a log-gamma difference, which is off by 2e-9 at C = 10^6."""
+    out = np.zeros((len(sizes), c.size))
+    for i, m in enumerate(sizes):
+        if m:
+            np.subtract(_log_miss(c, c - c[0], m), math.fsum(np.log(c[0] + np.arange(m))),
+                        out=out[i])
+    return out
+
+
+def _log_ratio_runs(vc: VCoefficients, n1: int, n2: int, r: int,
+                    m1s: Sequence[int], m2s: Sequence[int], width: int) -> np.ndarray:
+    """log [V^{r+k}_{n1+m1,n2+m2} / V^r_{n1,n2}] for k = 0..width-1 at each
+    future size (m1s[i], m2s[i]), row i, as expectations over the posterior
+    of the unseen count M* (the V series read as mixtures over the pool
+    size, Gnedin & Pitman 2006):
 
         E[(M*)_{k fall} / prod_j (g_j (r + M*) + n_j)_{m_j} | n1, n2, r]
 
-    over the window of :meth:`VCoefficients.posterior`; the laws read each
-    run through :func:`_ratios`.  No two logs of V (up to 10^7 in size) are
-    subtracted.  Each ratio is the weighted sum over the weights' own sum,
-    taken the same way, so k = 0 at m1 = m2 = 0 gives exactly 0; past the
-    window's largest M* the entries are -inf.  An entry's error is
-    absolute, bounded by the posterior mass left out of the window: the
-    series' own truncation, plus at most tol from the cut at its two ends.
-    A law that weighs these entries into a probability therefore moves by
-    at most about tol.  At k near m1 + m2, where (M*)_{k fall} weighs the
-    upper tail most, a tiny entry can lose much of its relative accuracy.
-    The (k, M*) matrix is reduced on blocks of about ``_LATTICE_BLOCK``
-    cells.
+    over the window of :meth:`VCoefficients.posterior`.  No two logs of V
+    (up to 10^7 in size) are subtracted.  Each ratio is the weighted sum
+    over the weights' own sum, taken the same way, so k = 0 at m1 = m2 = 0
+    gives exactly 0.  Past a point's top = min(m1 + m2, K), K the window's
+    largest M*, the entries are -inf; the width must exceed every top.  An
+    entry's error is absolute, bounded by the posterior mass left out of
+    the window: the series' own truncation, plus at most tol from the cut
+    at its two ends.  A law that weighs these entries into a probability
+    therefore moves by at most about tol.  At k near m1 + m2, where
+    (M*)_{k fall} weighs the upper tail most, a tiny entry can lose much of
+    its relative accuracy.
+
+    The points come in descending order of m1 + m2.  The tilt
+    -log prod_j (C_j)_{m_j} is formed once per distinct m_j, and
+    log (M*)_{k fall} once, up to the first point's top, on blocks of k;
+    each block meets the leading points whose runs reach it, a few at a
+    time, in (points, k, M*) cubes of about ``_LATTICE_BLOCK`` cells.  Every
+    entry is bit-identical to the same point's run formed alone.
     """
     post = vc.posterior(n1, n2, r)
     m_star, lw = post.window, post.log_w
-    tilted = lw.copy()
-    for g, n, m in ((vc.params.gamma1, n1, m1), (vc.params.gamma2, n2, m2)):
-        if m:
-            # (C)_m relative to its value at the window's first M*; never a
-            # log-gamma difference, which is off by 2e-9 at C = 10^6
-            c = g * (r + m_star) + n
-            tilted += _log_miss(c, c - c[0], m) - math.fsum(np.log(c[0] + np.arange(m)))
-    top = min(m1 + m2, int(m_star[-1]))
-    out = np.full(m1 + m2 + 1, LOG_ZERO)
+    g1, g2 = vc.params.gamma1, vc.params.gamma2
+    sizes1, at1 = _distinct(m1s)
+    sizes2, at2 = _distinct(m2s)
+    tilted = lw[None].repeat(len(m1s), axis=0)
+    for g, n, sizes, at in ((g1, n1, sizes1, at1), (g2, n2, sizes2, at2)):
+        if sizes[-1]:  # a group with a future tilts the weights
+            tilted += _log_tilts(g * (r + m_star) + n, sizes)[at]
+    last = int(m_star[-1])
+    tops = [min(m1 + m2, last) for m1, m2 in zip(m1s, m2s)]
+    out = np.full((len(tops), width), LOG_ZERO)
     step = max(1, _LATTICE_BLOCK // m_star.size)
     fall = np.zeros(m_star.size)  # log (M*)_{k fall} at the row before a block
     with np.errstate(divide="ignore"):
         log_den = _log_sum_rows(lw)
-        for lo in range(0, top + 1, step):
-            k = np.arange(lo, min(lo + step, top + 1))[:, None]
+        for lo in range(0, tops[0] + 1, step):
+            k = np.arange(lo, min(lo + step, tops[0] + 1))[:, None]
             cells = np.log(np.maximum(m_star - k + 1.0, 0.0))  # log (M* - k + 1)
             if lo == 0:
                 cells[0] = 0.0  # (M*)_{0 fall} = 1
             cells[0] += fall
-            np.cumsum(cells, axis=0, out=cells)  # row k: log (M*)_{k fall}
+            np.add.accumulate(cells, axis=0, out=cells)  # row k: log (M*)_{k fall}
             fall = cells[-1].copy()
-            cells += tilted
-            out[lo:lo + k.size] = _log_sum_rows(cells) - log_den
+            count = bisect.bisect_right(tops, -lo, key=operator.neg)  # runs reaching lo
+            chunk = max(1, _LATTICE_BLOCK // cells.size)
+            for first in range(0, count, chunk):
+                block = slice(first, min(first + chunk, count))
+                out[block, lo:lo + k.size] = _log_sum_rows(cells + tilted[block, None]) - log_den
+    short = bisect.bisect_right(tops, -tops[0], key=operator.neg)
+    if short < len(tops):  # the shorter runs end inside a block: clear past their ends
+        out[short:][np.arange(width) > np.array(tops[short:])[:, None]] = LOG_ZERO
     return out
+
+
+def _log_v_ratios(vc: VCoefficients, n1: int, n2: int, r: int,
+                  m1: int, m2: int) -> np.ndarray:
+    """The run of :func:`_log_ratio_runs` at one future size, k = 0..m1+m2;
+    the laws read it through :func:`_ratios`."""
+    return _log_ratio_runs(vc, n1, n2, r, (m1,), (m2,), m1 + m2 + 1)[0]
 
 
 def _ratios(vc: VCoefficients, n1: int, n2: int, r: int, m1: int, m2: int) -> np.ndarray:
     """The run of :func:`_log_v_ratios`, read-only.  The evaluator keeps
     the last run formed, so laws called in turn on one future size share
-    it; a curve, whose every point is a new size, keeps one run, not one
-    per point."""
+    it; a curve forms its runs in one pass over its grid and keeps none."""
     if m1 < 0 or m2 < 0:
         raise DomainError("future sample sizes must be >= 0")
     key = (n1, n2, r, m1, m2)
@@ -262,16 +314,17 @@ def _log_new_species(lr: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarr
     inv = -log_factorial(np.arange(-top, 2 * top + 1))  # inv[top + n] = -log n!
     out = np.empty((top + 1, ni, nj))
     step = max(1, _LATTICE_BLOCK // (na * nj * max(nb, ni)))
-    for lo in range(0, top + 1, step):
-        k = np.arange(lo, min(lo + step, top + 1))
-        a = np.arange(min(na, k[-1] + 1))
-        b = np.arange(min(nb, k[-1] + 1))
-        kc = k[:, None, None]
-        # y[k, a, j] = LSE_b ( x2[j, b] - log (k-b)! - log (a+b-k)! )
-        y = _log_sum_rows((x2[:, b] + inv[top + kc - b])[:, None]
-                          + inv[top + a[:, None] + b - kc][:, :, None])
-        out[k] = lr[k, None, None] + _log_sum_rows(
-            (x1[:, a] + inv[top + kc - a])[:, :, None] + y.transpose(0, 2, 1)[:, None])
+    with np.errstate(divide="ignore"):
+        for lo in range(0, top + 1, step):
+            k = np.arange(lo, min(lo + step, top + 1))
+            a = np.arange(min(na, k[-1] + 1))
+            b = np.arange(min(nb, k[-1] + 1))
+            kc = k[:, None, None]
+            # y[k, a, j] = LSE_b ( x2[j, b] - log (k-b)! - log (a+b-k)! )
+            y = _log_sum_rows((x2[:, b] + inv[top + kc - b])[:, None]
+                              + inv[top + a[:, None] + b - kc][:, :, None])
+            out[k] = lr[k, None, None] + _log_sum_rows(
+                (x1[:, a] + inv[top + kc - a])[:, :, None] + y.transpose(0, 2, 1)[:, None])
     return out
 
 
@@ -358,6 +411,87 @@ def posterior_local_new(vc: VCoefficients, state: ObservedState, m: int,
     return PmfTable.from_arrays(np.arange(row.size), lr[: row.size] + row)
 
 
+def coverage_cells(vc: VCoefficients, state: ObservedState,
+                   m1s: Sequence[int], m2s: Sequence[int]) -> int:
+    """The cells :func:`shared_coverage_prob` forms over a grid of future
+    sizes (m1s[i], m2s[i]), in closed form from the posterior window alone,
+    before any of them is formed: per point, its ratio run, (top + 1) x W
+    with top = min(m1 + m2, K) and W, K the window's size and largest M*,
+    its (a + 1) x (b + 1) corner, a = min(m1, top), b = min(m2, top), and
+    its run as a curve holds it, min(max m1, T) + min(max m2, T) + 1
+    entries, T the largest top; per group, its pass of GFC rows,
+    (max m_j + 1) x (max a_j + 1)."""
+    post = vc.posterior(state.n1, state.n2, state.r)
+    w, last = post.window.size, int(post.window[-1])
+    cells = a_max = b_max = top_max = 0
+    for m1, m2 in zip(m1s, m2s):
+        top = min(m1 + m2, last)
+        a, b = min(m1, top), min(m2, top)
+        cells += (top + 1) * w + (a + 1) * (b + 1)
+        a_max, b_max, top_max = max(a_max, a), max(b_max, b), max(top_max, top)
+    m1_max, m2_max = max(m1s), max(m2s)
+    held = min(m1_max, top_max) + min(m2_max, top_max) + 1
+    return cells + len(m1s) * held + (m1_max + 1) * (a_max + 1) + (m2_max + 1) * (b_max + 1)
+
+
+def _log_sum_exp_each(x: np.ndarray) -> list[float]:
+    """:func:`log_sum_exp` of each row of a 2-d array, bit for bit: the
+    same max shift, numpy sum and scalar log per row."""
+    hi = np.maximum.reduce(x, axis=1)
+    total = np.add.reduce(np.exp(x - hi[:, None]), axis=1)
+    return [h if h == LOG_ZERO else h + math.log(t)
+            for h, t in zip(hi.tolist(), total.tolist())]
+
+
+def _coverage(vc: VCoefficients, state: ObservedState, m1s: Sequence[int],
+              m2s: Sequence[int], runs: np.ndarray) -> list[float]:
+    """P(S = 0) at each future size (m1s[i], m2s[i]) from its ratio run
+    runs[i], which must reach k = a + b (see :func:`coverage_cells`).
+
+    Each group's rows come from one pass of :func:`log_noncentral_rows`, up
+    to the largest m_j and the largest column a point reads.  A point's
+    lattice corner is summed as :func:`shared_coverage_prob` says: on
+    blocks of rows k1 of about ``_LATTICE_BLOCK`` cells, each block's
+    log-sum-exp taken over its cells in order, then over the blocks.  The
+    points that share a corner's shape share its blocks, a few points at a
+    time; every sum runs over the same cells in the same order as at one
+    point, so each probability is bit-identical to the one-point call's.
+    """
+    g1, g2 = vc.params.gamma1, vc.params.gamma2
+    finite = np.add.reduce(runs > LOG_ZERO, axis=1).tolist()  # top + 1, see _last_finite
+    shapes: dict[tuple[int, int], list[int]] = {}  # the points of each corner (a, b)
+    a_max = b_max = 0
+    for i, (m1, m2, n) in enumerate(zip(m1s, m2s, finite)):
+        a, b = min(m1, n - 1), min(m2, n - 1)
+        shapes.setdefault((a, b), []).append(i)
+        a_max, b_max = max(a_max, a), max(b_max, b)
+    sizes1, at1 = _distinct(m1s)
+    sizes2, at2 = _distinct(m2s)
+    x1 = log_noncentral_rows(sizes1, g1, g1 * state.r1 + state.n1, a_max)[at1]
+    x2 = log_noncentral_rows(sizes2, g2, g2 * state.r2 + state.n2, b_max)[at2]
+    out = [0.0] * len(finite)
+    with np.errstate(invalid="ignore"):
+        for (ai, bi), group in shapes.items():
+            k2 = np.arange(bi + 1)
+            step = max(1, _LATTICE_BLOCK // k2.size)
+            chunk = max(1, _LATTICE_BLOCK // (min(step, ai + 1) * k2.size))
+            for first in range(0, len(group), chunk):
+                points = group[first:first + chunk]
+                at = (slice(points[0], points[-1] + 1) if points[-1] - points[0] < len(points)
+                      else np.array(points))  # a run of points is read as a slice
+                lr, y = runs[at], x2[at, None, :bi + 1]
+                parts = []
+                for lo in range(0, ai + 1, step):
+                    k1 = np.arange(lo, min(lo + step, ai + 1))[:, None]
+                    cells = (x1[at, lo:lo + k1.size, None] + y) + lr[:, k1 + k2]
+                    parts.append(_log_sum_exp_each(cells.reshape(len(points), -1)))
+                # one block's sum is already the total: log_sum_exp([x]) is x
+                totals = parts[0] if len(parts) == 1 else _log_sum_exp_each(np.array(parts).T)
+                for i, total in zip(points, totals):
+                    out[i] = min(1.0, math.exp(total))
+    return out
+
+
 def shared_coverage_prob(vc: VCoefficients, state: ObservedState,
                          m1: int, m2: int) -> float:
     """Probability that (m1, m2) further observations reveal no new shared
@@ -375,19 +509,14 @@ def shared_coverage_prob(vc: VCoefficients, state: ObservedState,
     O(m1 + m2) memory.  Where no new shared species can appear the sum is
     exactly one, and rounding can lift it a few dozen ulps above; it is
     capped at one.
+
+    This is the one-point grid of :func:`_coverage`, on the ratio run of
+    :func:`_ratios`, which the other laws at (m1, m2) share; a curve takes
+    its runs from one pass over the grid and gets the same numbers.  The
+    cells it forms are :func:`coverage_cells` at the one point.
     """
-    g1, g2 = vc.params.gamma1, vc.params.gamma2
     lr = _ratios(vc, state.n1, state.n2, state.r, m1, m2)
-    top = _last_finite(lr)
-    row1 = log_noncentral_row(m1, g1, g1 * state.r1 + state.n1, kmax=top)
-    row2 = log_noncentral_row(m2, g2, g2 * state.r2 + state.n2, kmax=top)
-    k2 = np.arange(row2.size)
-    step = max(1, _LATTICE_BLOCK // k2.size)
-    parts = []
-    for lo in range(0, row1.size, step):
-        k1 = np.arange(lo, min(lo + step, row1.size))[:, None]
-        parts.append(log_sum_exp(row1[k1] + row2[k2] + lr[k1 + k2]))
-    return min(1.0, math.exp(log_sum_exp(parts)))
+    return _coverage(vc, state, (m1,), (m2,), lr[None])[0]
 
 
 def one_step_shared_pmf(vc: VCoefficients, state: ObservedState) -> PmfTable:
@@ -436,6 +565,28 @@ def shared_pmf(vc: VCoefficients, state: ObservedState,
     return shared_marginal(posterior_joint_new(vc, state, m1, m2))
 
 
+def _expected_new_grid(vc: VCoefficients, state: ObservedState, m1s: Sequence[int],
+                       m2s: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """E[k1], E[k2] and E[k] of :func:`expected_new` at each future size
+    (m1s[i], m2s[i]), as arrays: the probabilities of missing a species are
+    formed once per distinct m1 and m2, E[k1] per m1, E[k2] per m2 and E[k]
+    per point."""
+    if min(m1s) < 0 or min(m2s) < 0:
+        raise DomainError("future sample sizes must be >= 0")
+    post = vc.posterior(state.n1, state.n2, state.r)
+    m_star, q = post.window, post.q
+    g1, g2 = vc.params.gamma1, vc.params.gamma2
+    sizes1, at1 = _distinct(m1s)
+    sizes2, at2 = _distinct(m2s)
+    c1, c2 = g1 * (state.r + m_star) + state.n1, g2 * (state.r + m_star) + state.n2
+    miss1 = np.array([_log_miss(c1, g1, m) for m in sizes1])
+    miss2 = np.array([_log_miss(c2, g2, m) for m in sizes2])
+    e_k1 = np.add.reduce(q * (state.r2_star + m_star) * -np.expm1(miss1), axis=1)[at1]
+    e_k2 = np.add.reduce(q * (state.r1_star + m_star) * -np.expm1(miss2), axis=1)[at2]
+    e_k = np.add.reduce(q * m_star * -np.expm1(miss1[at1] + miss2[at2]), axis=1)
+    return e_k1, e_k2, e_k
+
+
 def expected_new(vc: VCoefficients, state: ObservedState,
                  m1: int, m2: int) -> ExpectedNew:
     """Expected numbers of new (k1, k2, k, s) species in (m1, m2), at any
@@ -449,19 +600,12 @@ def expected_new(vc: VCoefficients, state: ObservedState,
     the group-exclusive species and the unseen pool (a brand-new species is
     shared when it appears in both futures: the proportions are independent
     given the pool size), as arrays over the posterior's window.
-    s = k1 + k2 - k holds by construction.
+    s = k1 + k2 - k holds by construction.  This is the one-point grid of
+    :func:`_expected_new_grid`.
     """
-    if m1 < 0 or m2 < 0:
-        raise DomainError("future sample sizes must be >= 0")
-    post = vc.posterior(state.n1, state.n2, state.r)
-    m_star, q = post.window, post.q
-    g1, g2 = vc.params.gamma1, vc.params.gamma2
-    miss1 = _log_miss(g1 * (state.r + m_star) + state.n1, g1, m1)
-    miss2 = _log_miss(g2 * (state.r + m_star) + state.n2, g2, m2)
-    e_k1 = float(np.add.reduce(q * (state.r2_star + m_star) * -np.expm1(miss1)))
-    e_k2 = float(np.add.reduce(q * (state.r1_star + m_star) * -np.expm1(miss2)))
-    e_k = float(np.add.reduce(q * m_star * -np.expm1(miss1 + miss2)))
-    return ExpectedNew(k1=e_k1, k2=e_k2, k=e_k, s=e_k1 + e_k2 - e_k)
+    e_k1, e_k2, e_k = _expected_new_grid(vc, state, (m1,), (m2,))
+    k1, k2, k = e_k1.item(), e_k2.item(), e_k.item()
+    return ExpectedNew(k1=k1, k2=k2, k=k, s=k1 + k2 - k)
 
 
 @dataclass(frozen=True)
@@ -516,15 +660,23 @@ def predictive_pair_probs(vc: VCoefficients, state: ObservedState) -> PairProbs:
 def extrapolation_curves(vc: VCoefficients, state: ObservedState,
                          grid: Sequence[tuple[int, int]]) -> list[dict]:
     """Expected new species and shared-species coverage over a grid of
-    future sample sizes; rows are emitted in grid order."""
-    rows = []
-    for m1, m2 in grid:
-        exp = expected_new(vc, state, m1, m2)
-        rows.append({
-            "m1": m1,
-            "m2": m2,
-            "expected_new_global": exp.k,
-            "expected_new_shared": exp.s,
-            "coverage_prob": shared_coverage_prob(vc, state, m1, m2),
-        })
-    return rows
+    future sample sizes; rows are emitted in grid order.  The grid is one
+    pass of :func:`_expected_new_grid` and of :func:`_coverage`, on ratio
+    runs from one :func:`_log_ratio_runs` pass, each run only as long as
+    its point's corner reads; every number equals the point laws'.  The
+    work is :func:`coverage_cells` of the grid."""
+    if not grid:
+        return []
+    m1s, m2s = [m1 for m1, _ in grid], [m2 for _, m2 in grid]
+    e_k1, e_k2, e_k = _expected_new_grid(vc, state, m1s, m2s)
+    order = sorted(range(len(grid)), key=lambda i: m1s[i] + m2s[i], reverse=True)
+    by1, by2 = [m1s[i] for i in order], [m2s[i] for i in order]
+    top = min(by1[0] + by2[0], int(vc.posterior(state.n1, state.n2, state.r).window[-1]))
+    width = min(max(m1s), top) + min(max(m2s), top) + 1  # past every a + b and top
+    runs = _log_ratio_runs(vc, state.n1, state.n2, state.r, by1, by2, width)
+    cov = [0.0] * len(grid)
+    for i, c in zip(order, _coverage(vc, state, by1, by2, runs)):
+        cov[i] = c
+    return [{"m1": m1, "m2": m2, "expected_new_global": k, "expected_new_shared": s,
+             "coverage_prob": c}
+            for m1, m2, k, s, c in zip(m1s, m2s, e_k.tolist(), (e_k1 + e_k2 - e_k).tolist(), cov)]

@@ -5,7 +5,9 @@ another way: non-central GFC values by the binomial convolution over a
 central table, whole non-central rows by the recurrence run row by row
 (the package runs it column by column, and the laws below read these
 rows), the coverage probability by a Python loop over every
-lattice cell with one cached V lookup per cell, the moment route of the
+lattice cell with one cached V lookup per cell, the V-ratio run of one
+future size with its own falling factorials and tilt, the extrapolation
+curves by one call of the point laws per grid point, the moment route of the
 expected new-species counts by a loop over the posterior support in scalar
 arithmetic and by the same sum in mpmath arithmetic, and the in-sample
 laws by scalar loops: the joint cell by cell, the global law by the double
@@ -62,9 +64,14 @@ from vecfdp.mprior import (
 )
 from vecfdp.pmftable import PmfTable
 from vecfdp.prediction import (
+    _LATTICE_BLOCK,
     ExpectedNew,
     ObservedState,
+    _log_miss as log_miss_array,
+    _log_sum_rows,
     _log_v_ratios,
+    expected_new,
+    shared_coverage_prob,
 )
 from vecfdp.simulate import SyntheticPopulation
 from vecfdp.vcoef import _SHIFT_FLOOR, _TAIL_BLOCK, _TAIL_RUN, ModelParams, VCoefficients, log_v
@@ -205,6 +212,54 @@ def uncapped_coverage_prob(vc: VCoefficients, state: ObservedState,
     lr = _log_v_ratios(vc, state.n1, state.n2, state.r, m1, m2)
     k1, k2 = np.ogrid[:m1 + 1, :m2 + 1]
     return math.exp(log_sum_exp((row1[k1] + row2[k2] + lr[k1 + k2]).ravel()))
+
+
+def log_v_ratios_by_point(vc: VCoefficients, n1: int, n2: int, r: int,
+                          m1: int, m2: int) -> np.ndarray:
+    """``prediction._log_v_ratios`` for one future size on its own: the
+    tilt and log (M*)_{k fall} formed for this size alone, the (k, M*)
+    matrix reduced on blocks of k."""
+    post = vc.posterior(n1, n2, r)
+    m_star, lw = post.window, post.log_w
+    tilted = lw.copy()
+    for g, n, m in ((vc.params.gamma1, n1, m1), (vc.params.gamma2, n2, m2)):
+        if m:
+            c = g * (r + m_star) + n
+            tilted += log_miss_array(c, c - c[0], m) - math.fsum(np.log(c[0] + np.arange(m)))
+    top = min(m1 + m2, int(m_star[-1]))
+    out = np.full(m1 + m2 + 1, LOG_ZERO)
+    step = max(1, _LATTICE_BLOCK // m_star.size)
+    fall = np.zeros(m_star.size)
+    with np.errstate(divide="ignore"):
+        log_den = _log_sum_rows(lw)
+        for lo in range(0, top + 1, step):
+            k = np.arange(lo, min(lo + step, top + 1))[:, None]
+            cells = np.log(np.maximum(m_star - k + 1.0, 0.0))
+            if lo == 0:
+                cells[0] = 0.0
+            cells[0] += fall
+            np.cumsum(cells, axis=0, out=cells)
+            fall = cells[-1].copy()
+            cells += tilted
+            out[lo:lo + k.size] = _log_sum_rows(cells) - log_den
+    return out
+
+
+def extrapolation_curves_by_point(vc: VCoefficients, state: ObservedState,
+                                  grid) -> list[dict]:
+    """``prediction.extrapolation_curves`` by one call of the point laws
+    per grid point."""
+    rows = []
+    for m1, m2 in grid:
+        exp = expected_new(vc, state, m1, m2)
+        rows.append({
+            "m1": m1,
+            "m2": m2,
+            "expected_new_global": exp.k,
+            "expected_new_shared": exp.s,
+            "coverage_prob": shared_coverage_prob(vc, state, m1, m2),
+        })
+    return rows
 
 
 def _log_miss(c: float, g: float, m: int) -> float:

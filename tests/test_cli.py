@@ -13,7 +13,7 @@ import pytest
 import vecfdp
 from vecfdp import prediction
 from vecfdp.abundance import ants_csv_path, ingest
-from vecfdp.cli import build_parser, main
+from vecfdp.cli import COVERAGE_BUDGET, build_parser, main
 from vecfdp.logmath import log_sum_exp
 from vecfdp.mprior import OneShiftedPoisson
 from vecfdp.prediction import ObservedState, one_step_discovery_prob
@@ -682,6 +682,47 @@ def test_predict_large_future_small_memory():
         assert each["code"] == 0
         assert 0.0 < each["coverage"] < 1.0
     assert result["rss_kb"] < 250 * 1024
+
+
+def test_curve_fine_grid_in_one_pass(capsys):
+    # 10 201 points: one call of the point laws per point took about 6 s
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "curve", str(ants_csv_path()), "--grid", "1000:1000:10")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0, err
+    assert out.count("\n") == 1 + 101 * 101
+
+
+def test_curve_past_coverage_budget_declines_at_once(capsys):
+    # at lam = 3e4 the posterior window holds 2475 points up to K = 28 003:
+    # this curve's coverage counts 8.4e7 cells before any is formed
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "curve", str(ants_csv_path()), "--grid", "400:400:50",
+                         "--lam", "3e4", "--gamma1", "1", "--gamma2", "1")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert f"budget of {COVERAGE_BUDGET}" in err
+
+
+def test_predict_past_coverage_budget_notes_coverage(capsys):
+    # a 10^4 x 10^4 future at lam = 3e4 took 6.7-11.7 s for its coverage;
+    # past the budget the report keeps the counts and the posterior
+    path = str(ants_csv_path())
+    flags = ["--lam", "3e4", "--gamma1", "1", "--gamma2", "1"]
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "predict", path, "--m1", "10000", "--m2", "10000", *flags)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0, err
+    report = json.loads(out)
+    assert "coverage_prob" not in report
+    assert f"at most {COVERAGE_BUDGET} cells" in report["note"]
+    vc = VCoefficients(ModelParams(1.0, 1.0, OneShiftedPoisson(3e4)))
+    state = ObservedState.from_abundance(ingest(path))
+    assert report["expected_new"] == prediction.expected_new(vc, state, 10000, 10000)._asdict()
+    assert report["posterior_unseen"]["pmf"]["total_mass"] == pytest.approx(1.0, abs=1e-14)
+    # the long-window future of the memory test below stays within it
+    long_vc = VCoefficients(ModelParams(0.5, 2.0, OneShiftedPoisson(3e4)))
+    assert prediction.coverage_cells(long_vc, state, [1000], [1000]) <= COVERAGE_BUDGET
 
 
 def test_curve_large_grid_small_memory():

@@ -7,7 +7,7 @@ import pytest
 
 from vecfdp.abundance import ants_table
 from vecfdp.estimation import fit_all
-from vecfdp.gfc import build_central_table, log_noncentral_row
+from vecfdp.gfc import build_central_table, log_noncentral_row, log_noncentral_rows
 from vecfdp.logmath import LOG_ZERO, DomainError, log_pochhammer
 
 from oracles import central_table_by_rows, log_noncentral_gfc
@@ -184,3 +184,26 @@ def test_noncentral_domain():
         log_noncentral_row(-1, 1.0, 1.0)
     with pytest.raises(DomainError):
         log_noncentral_row(3, 1.0, 1.0, kmax=-1)
+
+
+@pytest.mark.parametrize("gamma,rho", [(0.7, 0.0), (1.4, 13.3), (0.69, 1567.8)])
+@pytest.mark.parametrize("kmax", [0, 3, 9, 60, 500])
+def test_many_m_pass_rows_equal_row_per_m(gamma, rho, kmax):
+    # one pass to the largest m keeps every row bit for bit, whether kmax is
+    # below every m, between them or past them all; -inf past min(m, kmax)
+    ms = [0, 1, 4, 9, 10, 37, 200]
+    rows = log_noncentral_rows(ms, gamma, rho, kmax)
+    assert rows.shape == (len(ms), min(ms[-1], kmax) + 1)
+    for m, row in zip(ms, rows):
+        alone = log_noncentral_row(m, gamma, rho, kmax)
+        assert np.array_equal(row[:alone.size].view(np.int64), alone.view(np.int64)), m
+        assert (row[alone.size:] == LOG_ZERO).all()
+
+
+def test_many_m_pass_domain():
+    with pytest.raises(DomainError):
+        log_noncentral_rows([], 1.0, 1.0, 3)
+    with pytest.raises(DomainError):
+        log_noncentral_rows([-1, 2], 1.0, 1.0, 3)
+    with pytest.raises(DomainError):
+        log_noncentral_rows([1, 2], 1.0, 1.0, -1)

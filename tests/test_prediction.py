@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from vecfdp import prediction as pred
-from vecfdp import simulate, validation
+from vecfdp import gfc, simulate, validation
 from vecfdp.abundance import ants_table, from_counts
 from vecfdp.estimation import fit_all
 from vecfdp.logmath import LOG_ZERO, DomainError, log_pochhammer
@@ -449,23 +449,30 @@ def test_ratio_run_formed_once_per_key(monkeypatch):
     assert calls[2:] == [(STATE.n1, STATE.n2, STATE.r, 2, 1)]
 
 
-def test_curve_keeps_one_ratio_run(monkeypatch):
-    # every grid point is a new future size: the evaluator holds the last
-    # point's run, not one run per point
-    runs = []
-    original = pred._log_v_ratios
+def test_curve_keeps_no_run_per_point(monkeypatch):
+    # a curve forms its ratio runs in one pass over the grid, keeps none of
+    # them once it returns, and runs one GFC column pass per group
+    runs, passes = [], []
+    original_runs, original_columns = pred._log_ratio_runs, gfc._log_columns
 
-    def counted(*args):
-        lr = original(*args)
-        runs.append(weakref.ref(lr))
-        return lr
+    def counted_runs(*args):
+        out = original_runs(*args)
+        runs.append(weakref.ref(out))
+        return out
 
-    monkeypatch.setattr(pred, "_log_v_ratios", counted)
+    def counted_columns(m, gamma, rho, top, emit):
+        passes.append(rho)
+        return original_columns(m, gamma, rho, top, emit)
+
+    monkeypatch.setattr(pred, "_log_ratio_runs", counted_runs)
+    monkeypatch.setattr(gfc, "_log_columns", counted_columns)
     vc = VCoefficients(PARAMS)
     grid = [(m1, m2) for m1 in range(0, 9, 2) for m2 in range(0, 9, 2)]
     pred.extrapolation_curves(vc, STATE, grid)
-    assert len(runs) == len(grid)
-    assert [run() is None for run in runs] == [True] * (len(grid) - 1) + [False]
+    assert len(runs) == 1 and runs[0]() is None
+    assert getattr(vc, "_last_ratios", None) is None
+    g1, g2 = PARAMS.gamma1, PARAMS.gamma2
+    assert passes == [g1 * STATE.r1 + STATE.n1, g2 * STATE.r2 + STATE.n2]
 
 
 def test_check_normalization_shares_each_ratio_run(monkeypatch):
