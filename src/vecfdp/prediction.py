@@ -289,11 +289,12 @@ def posterior_m_mean(vc: VCoefficients, state: ObservedState) -> float:
     return float(np.add.reduce(post.q * post.window))
 
 
-def _last_finite(lr: np.ndarray) -> int:
-    """The largest k with a nonzero V ratio: the ratios from
-    :func:`_log_v_ratios` are finite up to the window's largest M* and -inf
-    past it, so no row entry beyond this k is ever read."""
-    return int(np.count_nonzero(lr > LOG_ZERO)) - 1
+def _last_finite(lr: np.ndarray):
+    """The largest k with a nonzero V ratio along the last axis: an int for
+    one run, a list for a stack of runs.  The ratios from
+    :func:`_log_ratio_runs` are finite up to the window's largest M* and
+    -inf past it, so no row entry beyond this k is ever read."""
+    return (np.add.reduce(lr > LOG_ZERO, axis=-1) - 1).tolist()
 
 
 def _log_new_species(lr: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -434,15 +435,6 @@ def coverage_cells(vc: VCoefficients, state: ObservedState,
     return cells + len(m1s) * held + (m1_max + 1) * (a_max + 1) + (m2_max + 1) * (b_max + 1)
 
 
-def _log_sum_exp_each(x: np.ndarray) -> list[float]:
-    """:func:`log_sum_exp` of each row of a 2-d array, bit for bit: the
-    same max shift, numpy sum and scalar log per row."""
-    hi = np.maximum.reduce(x, axis=1)
-    total = np.add.reduce(np.exp(x - hi[:, None]), axis=1)
-    return [h if h == LOG_ZERO else h + math.log(t)
-            for h, t in zip(hi.tolist(), total.tolist())]
-
-
 def _coverage(vc: VCoefficients, state: ObservedState, m1s: Sequence[int],
               m2s: Sequence[int], runs: np.ndarray) -> list[float]:
     """P(S = 0) at each future size (m1s[i], m2s[i]) from its ratio run
@@ -456,21 +448,23 @@ def _coverage(vc: VCoefficients, state: ObservedState, m1s: Sequence[int],
     points that share a corner's shape share its blocks, a few points at a
     time; every sum runs over the same cells in the same order as at one
     point, so each probability is bit-identical to the one-point call's.
+    Each log-sum-exp is :func:`_log_sum_rows` over a stack of points, and
+    the totals are capped at one after one ``exp``.
     """
     g1, g2 = vc.params.gamma1, vc.params.gamma2
-    finite = np.add.reduce(runs > LOG_ZERO, axis=1).tolist()  # top + 1, see _last_finite
+    tops = _last_finite(runs)
     shapes: dict[tuple[int, int], list[int]] = {}  # the points of each corner (a, b)
     a_max = b_max = 0
-    for i, (m1, m2, n) in enumerate(zip(m1s, m2s, finite)):
-        a, b = min(m1, n - 1), min(m2, n - 1)
+    for i, (m1, m2, top) in enumerate(zip(m1s, m2s, tops)):
+        a, b = min(m1, top), min(m2, top)
         shapes.setdefault((a, b), []).append(i)
         a_max, b_max = max(a_max, a), max(b_max, b)
     sizes1, at1 = _distinct(m1s)
     sizes2, at2 = _distinct(m2s)
     x1 = log_noncentral_rows(sizes1, g1, g1 * state.r1 + state.n1, a_max)[at1]
     x2 = log_noncentral_rows(sizes2, g2, g2 * state.r2 + state.n2, b_max)[at2]
-    out = [0.0] * len(finite)
-    with np.errstate(invalid="ignore"):
+    out = np.empty(len(tops))
+    with np.errstate(divide="ignore", invalid="ignore"):
         for (ai, bi), group in shapes.items():
             k2 = np.arange(bi + 1)
             step = max(1, _LATTICE_BLOCK // k2.size)
@@ -484,12 +478,10 @@ def _coverage(vc: VCoefficients, state: ObservedState, m1s: Sequence[int],
                 for lo in range(0, ai + 1, step):
                     k1 = np.arange(lo, min(lo + step, ai + 1))[:, None]
                     cells = (x1[at, lo:lo + k1.size, None] + y) + lr[:, k1 + k2]
-                    parts.append(_log_sum_exp_each(cells.reshape(len(points), -1)))
-                # one block's sum is already the total: log_sum_exp([x]) is x
-                totals = parts[0] if len(parts) == 1 else _log_sum_exp_each(np.array(parts).T)
-                for i, total in zip(points, totals):
-                    out[i] = min(1.0, math.exp(total))
-    return out
+                    parts.append(_log_sum_rows(cells.reshape(len(points), -1)))
+                # one block's sum is already the total
+                out[at] = parts[0] if len(parts) == 1 else _log_sum_rows(np.array(parts).T)
+    return np.minimum(np.exp(out), 1.0).tolist()
 
 
 def shared_coverage_prob(vc: VCoefficients, state: ObservedState,

@@ -4,13 +4,21 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vecfdp.abundance import ants_table
 from vecfdp.estimation import fit_all
 from vecfdp.gfc import build_central_table, log_noncentral_row, log_noncentral_rows
 from vecfdp.logmath import LOG_ZERO, DomainError, log_pochhammer
 
-from oracles import central_table_by_rows, log_noncentral_gfc
+from oracles import (
+    central_table_by_emit,
+    central_table_by_rows,
+    log_noncentral_gfc,
+    log_noncentral_row_by_emit,
+    log_noncentral_rows_by_emit,
+)
 
 
 def composition_sum_oracle(n: int, k: int, gamma: float) -> float:
@@ -207,3 +215,36 @@ def test_many_m_pass_domain():
         log_noncentral_rows([-1, 2], 1.0, 1.0, 3)
     with pytest.raises(DomainError):
         log_noncentral_rows([1, 2], 1.0, 1.0, -1)
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.lists(st.integers(0, 120), min_size=1, max_size=7, unique=True).map(sorted),
+       st.floats(math.exp(-2.0), math.exp(2.0)),
+       st.one_of(st.just(0.0), st.floats(0.0, 500.0)),
+       st.integers(0, 130))
+@example([0], 0.7, 0.0, 0)
+@example([37], 1.3, 12.5, 5)
+@example([0, 1, 2, 50], 0.4, 0.0, 0)
+@example([0, 3, 90, 120], 2.1, 233.0, 130)
+@example([5, 6, 7], 7.0, 0.0, 7)
+def test_rows_equal_emit_oracle(ms, gamma, rho, kmax):
+    # the one pass over sorted sizes gives, bit for bit, what the former
+    # column kernel's many-size and row emitters gave
+    assert _same_bits(log_noncentral_rows(ms, gamma, rho, kmax),
+                      log_noncentral_rows_by_emit(ms, gamma, rho, kmax))
+    for m in ms:
+        assert _same_bits(log_noncentral_row(m, gamma, rho, kmax),
+                          log_noncentral_row_by_emit(m, gamma, rho, kmax)), m
+    assert _same_bits(log_noncentral_row(ms[-1], gamma, rho),
+                      log_noncentral_row_by_emit(ms[-1], gamma, rho))
+
+
+@pytest.mark.parametrize("gamma", [0.05, 1.0, 6.3])
+def test_central_table_equals_emit_oracle(gamma):
+    for max_n in range(41):
+        assert _same_bits(build_central_table(gamma, max_n),
+                          central_table_by_emit(gamma, max_n)), max_n

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from vecfdp import prediction as pred
-from vecfdp import gfc, simulate, validation
+from vecfdp import simulate, validation
 from vecfdp.abundance import ants_table, from_counts
 from vecfdp.estimation import fit_all
 from vecfdp.logmath import LOG_ZERO, DomainError, log_pochhammer
@@ -451,21 +451,21 @@ def test_ratio_run_formed_once_per_key(monkeypatch):
 
 def test_curve_keeps_no_run_per_point(monkeypatch):
     # a curve forms its ratio runs in one pass over the grid, keeps none of
-    # them once it returns, and runs one GFC column pass per group
+    # them once it returns, and runs one GFC pass per group
     runs, passes = [], []
-    original_runs, original_columns = pred._log_ratio_runs, gfc._log_columns
+    original_runs, original_rows = pred._log_ratio_runs, pred.log_noncentral_rows
 
     def counted_runs(*args):
         out = original_runs(*args)
         runs.append(weakref.ref(out))
         return out
 
-    def counted_columns(m, gamma, rho, top, emit):
+    def counted_rows(ms, gamma, rho, kmax):
         passes.append(rho)
-        return original_columns(m, gamma, rho, top, emit)
+        return original_rows(ms, gamma, rho, kmax)
 
     monkeypatch.setattr(pred, "_log_ratio_runs", counted_runs)
-    monkeypatch.setattr(gfc, "_log_columns", counted_columns)
+    monkeypatch.setattr(pred, "log_noncentral_rows", counted_rows)
     vc = VCoefficients(PARAMS)
     grid = [(m1, m2) for m1 in range(0, 9, 2) for m2 in range(0, 9, 2)]
     pred.extrapolation_curves(vc, STATE, grid)
