@@ -59,8 +59,8 @@ class OneShiftedPoisson(MPrior):
     lam: float
 
     def __post_init__(self):
-        if self.lam <= 0.0:
-            raise DomainError(f"rate must be positive, got {self.lam}")
+        if not 0.0 < self.lam < math.inf:
+            raise DomainError(f"rate must be positive and finite, got {self.lam}")
 
     def log_pmf_array(self, m: np.ndarray) -> np.ndarray:
         # log (m - 1)! is +inf at m <= 0, where the result is then -inf
@@ -162,8 +162,8 @@ class TabulatedPrior(MPrior):
         probs = np.asarray(probs, dtype=float)
         if probs.ndim != 1 or probs.size == 0:
             raise DomainError("probs must be a nonempty 1-D sequence")
-        if np.any(probs < 0.0):
-            raise DomainError("probabilities must be nonnegative")
+        if not np.all(np.isfinite(probs) & (probs >= 0.0)):
+            raise DomainError("probabilities must be finite and nonnegative")
         total = float(probs.sum())
         if abs(total - 1.0) > 1e-12:
             raise DomainError(f"probabilities must sum to 1, got {total!r}")

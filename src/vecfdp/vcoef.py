@@ -15,8 +15,9 @@ bound shows to hold at most tol / 2 of it (:func:`_series_start`).
 :func:`log_v` sums one coefficient, or hands back its whole series;
 :func:`log_v_many` sums a run of r at fixed sizes in batches of rows, with
 the same stopping rule and the same values.
-:class:`VCoefficients` forms each key's total and :class:`Posterior`
-once.
+:class:`VCoefficients` keeps one entry per key: log V and its
+:class:`Posterior`, formed from the key's series at its first lookup.  Its
+runs of r are :func:`log_v_many` batches and leave no entry.
 """
 
 from __future__ import annotations
@@ -64,9 +65,9 @@ class ModelParams:
     m_prior: MPrior
 
     def __post_init__(self):
-        if self.gamma1 <= 0.0 or self.gamma2 <= 0.0:
-            raise DomainError(
-                f"concentrations must be positive, got ({self.gamma1}, {self.gamma2})")
+        if not (0.0 < self.gamma1 < math.inf and 0.0 < self.gamma2 < math.inf):
+            raise DomainError(f"concentrations must be positive and finite, "
+                              f"got ({self.gamma1}, {self.gamma2})")
 
     def gamma(self, group: int) -> float:
         if group == 1:
@@ -292,11 +293,11 @@ def log_v_many(n1: int, n2: int, rs, params: ModelParams, *,
 
 
 class Posterior(NamedTuple):
-    """The posterior of the unseen count M* = m - r given (n1, n2, r), from
-    :meth:`VCoefficients.posterior`: M* over the whole V series and its log
-    masses, then on the window cut to all but tol of the mass, M* as floats,
-    the log weights (terms less the series' peak) and the weights over their
-    sum.  Every array is read-only."""
+    """The posterior of the unseen count M* = m - r given (n1, n2, r), as
+    :meth:`VCoefficients.log_v` forms it: M* over the whole V series and
+    its log masses, then on the window cut to all but tol of the mass, M*
+    as floats, the log weights (terms less the series' peak) and the
+    weights over their sum.  Every array is read-only."""
 
     m_star: np.ndarray
     log_pmf: np.ndarray
@@ -308,9 +309,10 @@ class Posterior(NamedTuple):
 class VCoefficients:
     """Memoizing evaluator of log V for one fixed parameter triple.
 
-    One cache, keyed (n1, n2, r), holds the whole series of a key summed on
-    its own, the key's :class:`Posterior` (see :meth:`posterior`), and the
-    bare total of a key summed in a :meth:`log_v_many` batch.  A
+    One cache, keyed (n1, n2, r), holds (log V, :class:`Posterior`) for
+    each key looked up, both formed from the key's series in one step on
+    its first lookup; the posterior is None when V is zero.  A run of r
+    from :meth:`log_v_many` is summed in batches and not cached.  A
     single-group coefficient is the key with the other size zero.
     Insertion is idempotent, so concurrent recomputation of a key is
     harmless.
@@ -321,26 +323,11 @@ class VCoefficients:
         self.params = params
         self.tol = tol
         self.max_terms = max_terms
-        #: (log total, m, log terms, posterior); m and terms are None for a
-        #: batch total, the posterior is None until first asked for
-        self._cache: dict[tuple[int, int, int], tuple] = {}
-
-    def _sum(self, n1: int, n2: int, r: int) -> tuple:
-        total, m, terms = log_v(n1, n2, r, self.params, tol=self.tol,
-                                max_terms=self.max_terms, series=True)
-        self._cache[n1, n2, r] = entry = (total, m, terms, None)
-        return entry
+        self._cache: dict[tuple[int, int, int], tuple[float, Posterior | None]] = {}
 
     def log_v(self, n1: int, n2: int, r: int) -> float:
-        entry = self._cache.get((n1, n2, r))
-        if entry is None:
-            entry = self._sum(n1, n2, r)
-        return entry[0]
-
-    def posterior(self, n1: int, n2: int, r: int) -> Posterior:
-        """The :class:`Posterior` of M* given (n1, n2, r), formed in one pass
-        over the series of V^r_{n1,n2} on first use and kept in the key's
-        entry, which is looked up through :meth:`log_v`.
+        """log V^r_{n1,n2}; a first lookup sums the key's series and forms
+        its :class:`Posterior` in one pass over it.
 
         The log masses are the terms less the series' peak, less the log of
         their sum taken in linear space (log V, up to 10^7 in size, would
@@ -348,40 +335,39 @@ class VCoefficients:
         each end while the mass they carry stays at most tol / 2 of that
         sum: it leaves out at most ``tol`` on top of the series' own
         truncation, and keeps every mode of a multimodal posterior.  Each
-        exp argument is floored at ``_EXP_FLOOR``.  A V of zero raises.
+        exp argument is floored at ``_EXP_FLOOR``.
         """
+        entry = self._cache.get((n1, n2, r))
+        if entry is None:
+            total, m, terms = log_v(n1, n2, r, self.params, tol=self.tol,
+                                    max_terms=self.max_terms, series=True)
+            post = None
+            if total != LOG_ZERO:
+                shifted = terms - terms.max()
+                w = np.exp(np.maximum(shifted, _EXP_FLOOR))
+                head = np.cumsum(w)
+                cut = 0.5 * self.tol * head[-1]
+                lo = int(np.searchsorted(head, cut, side="right"))
+                hi = w.size - int(np.searchsorted(np.cumsum(w[::-1]), cut, side="right"))
+                q = w[lo:hi]
+                post = Posterior(m - r, shifted - math.log(np.add.reduce(w)),
+                                 (m[lo:hi] - r).astype(float), shifted[lo:hi], q / q.sum())
+                for array in post:
+                    array.flags.writeable = False
+            self._cache[n1, n2, r] = entry = (total, post)
+        return entry[0]
+
+    def posterior(self, n1: int, n2: int, r: int) -> Posterior:
+        """The :class:`Posterior` of M* given (n1, n2, r), kept in the key's
+        entry (see :meth:`log_v`).  A V of zero raises."""
         if self.log_v(n1, n2, r) == LOG_ZERO:
             raise DomainError(f"V^{r}_({n1},{n2}) is zero under this prior")
-        total, m, terms, post = self._cache[n1, n2, r]
-        if post is None:
-            if m is None:  # a batch total: sum the key's series on its own
-                total, m, terms, _ = self._sum(n1, n2, r)
-            shifted = terms - terms.max()
-            w = np.exp(np.maximum(shifted, _EXP_FLOOR))
-            head = np.cumsum(w)
-            cut = 0.5 * self.tol * head[-1]
-            lo = int(np.searchsorted(head, cut, side="right"))
-            hi = w.size - int(np.searchsorted(np.cumsum(w[::-1]), cut, side="right"))
-            q = w[lo:hi]
-            post = Posterior(m - r, shifted - math.log(np.add.reduce(w)),
-                             (m[lo:hi] - r).astype(float), shifted[lo:hi], q / q.sum())
-            for array in post:
-                array.flags.writeable = False
-            self._cache[n1, n2, r] = (total, m, terms, post)
-        return post
+        return self._cache[n1, n2, r][1]
 
     def log_v_many(self, n1: int, n2: int, rs) -> np.ndarray:
-        """log V^r_{n1,n2} for every r in ``rs``; the keys not cached yet are
-        evaluated in one :func:`log_v_many` batch and cached."""
-        rs = np.asarray(rs, dtype=np.int64).ravel()
-        out = np.array([self._cache.get((n1, n2, r), (np.nan,))[0] for r in rs.tolist()])
-        missing = np.isnan(out)
-        if missing.any():
-            out[missing] = log_v_many(n1, n2, rs[missing], self.params,
-                                      tol=self.tol, max_terms=self.max_terms)
-            self._cache.update(((n1, n2, r), (total, None, None, None)) for r, total
-                               in zip(rs[missing].tolist(), out[missing].tolist()))
-        return out
+        """log V^r_{n1,n2} for every r in ``rs``: one :func:`log_v_many`
+        batch, which leaves no cache entry."""
+        return log_v_many(n1, n2, rs, self.params, tol=self.tol, max_terms=self.max_terms)
 
     def check_recurrence(self, n1: int, n2: int, r: int) -> float:
         """Relative residual of the one-step-in-each-group recurrence.

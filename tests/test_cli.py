@@ -462,6 +462,24 @@ def test_bad_option_values_are_input_errors(capsys, argv, name):
     assert f"argument {name}" in err and out == ""
 
 
+@pytest.mark.parametrize("params", [
+    ("--lam", "nan", "--gamma1", "1", "--gamma2", "1"),
+    ("--lam", "inf", "--gamma1", "1", "--gamma2", "1"),
+    ("--lam", "3", "--gamma1", "nan", "--gamma2", "1"),
+    ("--lam", "3", "--gamma1", "inf", "--gamma2", "1"),
+])
+def test_non_finite_model_params_are_numerical_errors(capsys, params):
+    # named where the model is built, before any series runs
+    start = time.perf_counter()
+    code, out, err = run(capsys, "predict", str(ants_csv_path()), "--m1", "5", "--m2", "5",
+                         *params)
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert err.startswith("numerical error") and "Traceback" not in err and out == ""
+    assert "must be positive and finite" in err
+    assert elapsed < 1.0
+
+
 def test_simulate_experiment1_csv(capsys):
     code, out, err = run(capsys, "simulate", "--experiment", "1",
                          "--grid", "30:60:30", "--replications", "2",

@@ -3,7 +3,7 @@ import math
 import mpmath
 import pytest
 
-from vecfdp.logmath import ConvergenceError
+from vecfdp.logmath import ConvergenceError, DomainError
 from vecfdp.mprior import OneShiftedPoisson, PointMass, TabulatedPrior, expectation, prior_window
 
 from oracles import prior_window_by_series
@@ -26,6 +26,19 @@ def test_tabulated_prior_finite_sum():
     expected = sum(p / (1.0 + 0.5 * m) for m, p in enumerate(probs, start=1))
     got = expectation(TabulatedPrior(probs), lambda m: 1.0 / (1.0 + 0.5 * m))
     assert got == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_rate_outside_positive_finite_is_domain_error(lam):
+    with pytest.raises(DomainError):
+        OneShiftedPoisson(lam)
+
+
+@pytest.mark.parametrize("probs", [[math.nan], [0.5, math.nan, 0.5], [math.inf],
+                                   [1.0, -math.inf], [-0.5, 1.5]])
+def test_tabulated_probabilities_outside_finite_nonnegative_are_domain_errors(probs):
+    with pytest.raises(DomainError):
+        TabulatedPrior(probs)
 
 
 def test_convergence_error_on_tiny_cap():

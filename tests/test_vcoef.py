@@ -254,16 +254,21 @@ def test_domain_errors():
         log_v(-1, 0, 0, params)
     with pytest.raises(DomainError):
         log_v(1, 1, -1, params)
-    with pytest.raises(DomainError):
-        ModelParams(0.0, 1.0, OneShiftedPoisson(1.0))
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            ModelParams(bad, 1.0, OneShiftedPoisson(1.0))
+        with pytest.raises(DomainError):
+            ModelParams(1.0, bad, OneShiftedPoisson(1.0))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
 
 
 def assert_many_matches_single(n1, n2, rs, params):
     many = log_v_many(n1, n2, rs, params)
     single = np.array([log_v(n1, n2, int(r), params) for r in rs])
-    np.testing.assert_array_equal(np.isneginf(many), np.isneginf(single))
-    finite = np.isfinite(single)
-    np.testing.assert_allclose(many[finite], single[finite], rtol=0.0, atol=1e-12)
+    np.testing.assert_array_equal(_bits(many), _bits(single))
 
 
 def test_log_v_many_fitted_run():
@@ -295,7 +300,13 @@ def test_log_v_many_order_and_cache():
     first = vc.log_v(4, 3, 5)
     got = vc.log_v_many(4, 3, rs)
     assert got[3] == first
+    # a batch adds no key to the evaluator
+    assert list(vc._cache) == [(4, 3, 5)]
     assert vc.log_v(4, 3, 7) == got[0]
+    # a batch key's posterior is the one a fresh evaluator forms
+    post, fresh = vc.posterior(4, 3, 7), VCoefficients(params).posterior(4, 3, 7)
+    for ours, theirs in zip(post, fresh):
+        np.testing.assert_array_equal(_bits(ours), _bits(theirs))
 
 
 def test_log_v_many_convergence_error_on_tiny_cap():
